@@ -25,12 +25,11 @@ package bench
 // golden layer; issued/acked/retry counts are seed-dependent and pinned
 // per seed by the output golden. Retry counts and retry wire bytes
 // aggregate into the client CI budgets through the same side channel the
-// recovery budgets use (see TakeClientStats).
+// recovery budgets use (see foldStats).
 
 import (
 	"fmt"
 	"io"
-	"sync"
 	"time"
 
 	"repro/internal/client"
@@ -65,44 +64,14 @@ const clientDeadline = 900 * time.Millisecond
 // clientVariants names the two runs per seed, in run order.
 var clientVariants = []string{"control", "retry"}
 
-// ClientStats is the nondeterministic-budget side channel of a client
-// family run (mirroring RecoveryStats): Retries and ExtraBytes sum the
-// sessions' re-submission counts and retry wire bytes across every run
-// of the family, gated by ci/client-budgets.json.
-type ClientStats struct {
-	Retries    uint64
-	ExtraBytes uint64
-}
-
-var (
-	clientMu       sync.Mutex
-	clientStatsMap = map[string]*ClientStats{}
-)
-
-// TakeClientStats returns and clears the recorded stats for one client
-// experiment id.
-func TakeClientStats(id string) (ClientStats, bool) {
-	clientMu.Lock()
-	defer clientMu.Unlock()
-	s, ok := clientStatsMap[id]
-	if !ok {
-		return ClientStats{}, false
-	}
-	delete(clientStatsMap, id)
-	return *s, true
-}
-
-// noteClientStats folds one run's session stats into the family's entry.
+// noteClientStats folds one run's session stats into the sums
+// ci/client-budgets.json gates: the sessions' re-submission counts and
+// retry wire bytes across every run of the family.
 func noteClientStats(id string, st client.Stats) {
-	clientMu.Lock()
-	s := clientStatsMap[id]
-	if s == nil {
-		s = &ClientStats{}
-		clientStatsMap[id] = s
-	}
-	s.Retries += uint64(st.Retries)
-	s.ExtraBytes += uint64(st.ExtraBytes)
-	clientMu.Unlock()
+	foldStats(id, func(r *AllocResult) {
+		r.ClientRetries += uint64(st.Retries)
+		r.ClientExtraBytes += uint64(st.ExtraBytes)
+	})
 }
 
 // clientRig is a faultRig plus the session under test and the learners'

@@ -23,12 +23,11 @@ package bench
 // counts and the worst delivery-free gap are seed-dependent and pinned
 // by the per-experiment output golden; their aggregates feed the
 // recovery CI budgets through the same side channel soak stats use (see
-// TakeRecoveryStats).
+// foldStats).
 
 import (
 	"fmt"
 	"io"
-	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -73,48 +72,18 @@ var snapshotVariants = []recoveryVariant{
 	{name: "evict", dur: ringpaxos.DurWAL, evict: 100 * time.Millisecond},
 }
 
-// RecoveryStats is the nondeterministic-budget side channel of a
-// recovery family run (mirroring SoakStats): aggregates the CI recovery
-// budgets gate via cmd/repro -check-allocs. DiskBytes sums the modeled
-// WAL bytes appended across every run of the family; RecoveryMS is the
-// worst delivery-free gap (simulated, in milliseconds) observed in any
-// run that was expected to recover — outage plus replay plus catch-up.
-type RecoveryStats struct {
-	DiskBytes  uint64
-	RecoveryMS float64
-}
-
-var (
-	recoveryMu    sync.Mutex
-	recoveryStats = map[string]*RecoveryStats{}
-)
-
-// TakeRecoveryStats returns and clears the recorded stats for one
-// recovery experiment id.
-func TakeRecoveryStats(id string) (RecoveryStats, bool) {
-	recoveryMu.Lock()
-	defer recoveryMu.Unlock()
-	s, ok := recoveryStats[id]
-	if !ok {
-		return RecoveryStats{}, false
-	}
-	delete(recoveryStats, id)
-	return *s, true
-}
-
-// noteRecovery folds one run into the family's stats entry.
+// noteRecovery folds one run into the aggregates the CI recovery budgets
+// gate via cmd/repro -check-allocs: DiskBytes sums the modeled WAL bytes
+// appended across every run of the family; RecoveryMS is the worst
+// delivery-free gap (simulated, in milliseconds) observed in any run that
+// was expected to recover — outage plus replay plus catch-up.
 func noteRecovery(id string, disk uint64, gap time.Duration, recovered bool) {
-	recoveryMu.Lock()
-	s := recoveryStats[id]
-	if s == nil {
-		s = &RecoveryStats{}
-		recoveryStats[id] = s
-	}
-	s.DiskBytes += disk
-	if ms := float64(gap) / 1e6; recovered && ms > s.RecoveryMS {
-		s.RecoveryMS = ms
-	}
-	recoveryMu.Unlock()
+	foldStats(id, func(r *AllocResult) {
+		r.DiskBytes += disk
+		if recovered {
+			r.RecoveryMS = max(r.RecoveryMS, float64(gap)/1e6)
+		}
+	})
 }
 
 // recoveryRig is a faultRig plus the write-ahead logs the build wired

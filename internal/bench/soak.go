@@ -22,7 +22,6 @@ package bench
 import (
 	"io"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -46,40 +45,17 @@ const (
 	soakStep = time.Second
 )
 
-// SoakStats is the nondeterministic half of a soak run, kept out of the
-// golden-pinned text and surfaced through cmd/repro -allocs instead.
-// HeapAlloc figures are sampled only while sampling is enabled (the
-// sequential alloc-profiling path), after a forced GC at each checkpoint
-// so they measure live bytes, not uncollected garbage.
-type SoakStats struct {
-	HeapAllocPeak uint64
-	HeapAllocEnd  uint64
-	LiveLogPeak   int
-	LiveLogEnd    int
-}
-
-var (
-	soakSampling atomic.Bool
-	soakMu       sync.Mutex
-	soakStats    = map[string]*SoakStats{}
-)
+// soakSampling gates the nondeterministic half of a soak run, kept out of
+// the golden-pinned text and surfaced through cmd/repro -allocs instead
+// (AllocResult's heap fields, via foldStats): HeapAlloc figures are
+// sampled only while it is set, after a forced GC at each checkpoint so
+// they measure live bytes, not uncollected garbage.
+var soakSampling atomic.Bool
 
 // SetSoakSampling toggles heap sampling at soak checkpoints. It is enabled
 // only on the sequential alloc-profiling path: under the parallel golden
 // runner, concurrent experiments would attribute each other's heap.
 func SetSoakSampling(on bool) { soakSampling.Store(on) }
-
-// TakeSoakStats returns and clears the recorded stats for one soak id.
-func TakeSoakStats(id string) (SoakStats, bool) {
-	soakMu.Lock()
-	defer soakMu.Unlock()
-	s, ok := soakStats[id]
-	if !ok {
-		return SoakStats{}, false
-	}
-	delete(soakStats, id)
-	return *s, true
-}
 
 // noteSoak records one checkpoint of the GC-enabled soak run.
 func noteSoak(id string, live int) {
@@ -90,21 +66,12 @@ func noteSoak(id string, live int) {
 		runtime.ReadMemStats(&ms)
 		heap = ms.HeapAlloc
 	}
-	soakMu.Lock()
-	s := soakStats[id]
-	if s == nil {
-		s = &SoakStats{}
-		soakStats[id] = s
-	}
-	if heap > s.HeapAllocPeak {
-		s.HeapAllocPeak = heap
-	}
-	s.HeapAllocEnd = heap
-	if live > s.LiveLogPeak {
-		s.LiveLogPeak = live
-	}
-	s.LiveLogEnd = live
-	soakMu.Unlock()
+	foldStats(id, func(r *AllocResult) {
+		r.HeapAllocPeak = max(r.HeapAllocPeak, heap)
+		r.HeapAllocEnd = heap
+		r.LiveLogPeak = max(r.LiveLogPeak, live)
+		r.LiveLogEnd = live
+	})
 }
 
 // soakSample is one per-second checkpoint of a soak run.

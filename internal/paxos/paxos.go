@@ -649,17 +649,13 @@ func (a *Agent) armGapTimer() {
 	proto.AfterFree(a.env, a.Cfg.Retry, a.gapTimerFn)
 }
 
+// gapTick asks the coordinator for decisions this learner might be missing.
+// The request is unconditional: one for an instance that never existed is
+// simply ignored.
 func (a *Agent) gapTick() {
-	if a.learned.Len() > 0 || a.stalled() {
-		a.env.Send(a.coordHint, msgLearnReq{From: a.nextDeliver})
-	}
+	a.env.Send(a.coordHint, msgLearnReq{From: a.nextDeliver})
 	a.armGapTimer()
 }
-
-// stalled reports whether this learner might be missing decisions: it is
-// heuristic (a retransmission request for an instance that never existed is
-// simply ignored).
-func (a *Agent) stalled() bool { return true }
 
 // --- garbage collection (shared subsystem, §3.3.7) ---
 

@@ -75,7 +75,7 @@ func TestMRingDuplicateDecisionSuppressed(t *testing.T) {
 		if agents[id].DupSuppressed != 1 {
 			t.Fatalf("learner %d suppressed %d, want 1", id, agents[id].DupSuppressed)
 		}
-		if got := agents[id].DedupSeq(200); got != 2 {
+		if got := agents[id].dedup.Seq(200); got != 2 {
 			t.Fatalf("learner %d dedup seq = %d, want 2", id, got)
 		}
 	}
@@ -133,7 +133,7 @@ func TestURingDuplicateDecisionSuppressed(t *testing.T) {
 		if a.DupSuppressed != 1 {
 			t.Fatalf("node %d suppressed %d, want 1", i, a.DupSuppressed)
 		}
-		if got := a.DedupSeq(client); got != 2 {
+		if got := a.dedup.Seq(client); got != 2 {
 			t.Fatalf("node %d dedup seq = %d, want 2", i, got)
 		}
 	}

@@ -1,11 +1,15 @@
 package ringpaxos
 
 // Failover edge cases: permanent coordinator crashes, elections racing
-// Phase 1, double failures with spare refill, stale restarted
-// coordinators, and elections across healing partitions. All schedules
-// are deterministic fault.Schedule events on the simulated LAN.
+// Phase 1, restart catch-up of the ring layout, double failures with spare
+// refill, stale restarted coordinators, elections across healing
+// partitions, and quorum loss. The detector and election live on the
+// shared ringCore, so the scenarios that make sense for both ring layouts
+// run table-driven over both. All schedules are deterministic
+// fault.Schedule events on the simulated LAN.
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -19,104 +23,218 @@ import (
 // enough that elections finish in a few simulated milliseconds.
 var testFailover = Failover{Heartbeat: 2 * time.Millisecond, Suspect: 6 * time.Millisecond}
 
-// foDeploy wires an M-Ring deployment with failover enabled: ring
-// acceptors 0..nRing-1 (nRing-1 coordinates), optional spares, learners
-// 100/101, proposer 200. Unlike deployM, the proposer subscribes to the
-// group so it hears mRingChange and re-aims proposals after an election.
-type foDeploy struct {
-	l        *lan.LAN
-	agents   map[proto.NodeID]*MAgent
-	prop     *MAgent
+// foRig is a failover-enabled deployment of either ring layout, reduced
+// to what the scenarios need: the shared core of every process, where
+// proposals enter, and who delivers.
+type foRig struct {
+	l     *lan.LAN
+	cores map[proto.NodeID]*ringCore
+	// propose submits a value at the rig's proposer, a non-acceptor that
+	// no scenario kills (its Env drives the pump timer).
+	propose  func(core.Value)
+	proposer proto.NodeID
+	// learners are the processes that outlive the initial coordinator.
 	learners []proto.NodeID
 	deliv    map[proto.NodeID][]core.ValueID
 }
 
-func deployMFailover(t *testing.T, nRing int, spares []proto.NodeID, seed int64, sched *fault.Schedule) *foDeploy {
+// foLayouts are the two ring layouts the shared scenarios run over. cast
+// names, for n acceptors 0..n-1, the initial coordinator, its ring
+// successor, and the heir — the highest-id acceptor once the coordinator
+// is dead, whom every election must pick.
+var foLayouts = []struct {
+	name   string
+	cast   func(n int) (coord, next, heir proto.NodeID)
+	deploy func(t *testing.T, n int, seed int64, sched *fault.Schedule) *foRig
+}{
+	{
+		name: "mring",
+		cast: func(n int) (coord, next, heir proto.NodeID) { return proto.NodeID(n - 1), 0, proto.NodeID(n - 2) },
+		deploy: func(t *testing.T, n int, seed int64, sched *fault.Schedule) *foRig {
+			return deployMFailover(t, n, nil, seed, sched)
+		},
+	},
+	{
+		name:   "uring",
+		cast:   func(n int) (coord, next, heir proto.NodeID) { return 0, 1, proto.NodeID(n - 1) },
+		deploy: deployUFailover,
+	},
+}
+
+// deployMFailover wires an M-Ring deployment with failover enabled: ring
+// acceptors 0..nRing-1 (nRing-1 coordinates), optional spares, learners
+// 100/101, proposer 200. Unlike deployM, the proposer subscribes to the
+// group so it hears mRingChange and re-aims proposals after an election.
+func deployMFailover(t *testing.T, nRing int, spares []proto.NodeID, seed int64, sched *fault.Schedule) *foRig {
 	t.Helper()
-	cfg := MConfig{Group: 1, Spares: spares, Failover: testFailover}
+	cfg := MConfig{Group: 1, Spares: spares, Failover: testFailover, Learners: []proto.NodeID{100, 101}}
 	for i := 0; i < nRing; i++ {
 		cfg.Ring = append(cfg.Ring, proto.NodeID(i))
 	}
-	cfg.Learners = []proto.NodeID{100, 101}
-	d := &foDeploy{
+	r := &foRig{
 		l:        lan.New(lan.DefaultConfig(), seed),
-		agents:   make(map[proto.NodeID]*MAgent),
+		cores:    make(map[proto.NodeID]*ringCore),
+		proposer: 200,
 		learners: cfg.Learners,
 		deliv:    make(map[proto.NodeID][]core.ValueID),
 	}
-	add := func(id proto.NodeID) {
+	for _, id := range slices.Concat(cfg.Ring, spares, cfg.Learners, []proto.NodeID{r.proposer}) {
 		a := &MAgent{Cfg: cfg}
-		a.Deliver = func(inst int64, v core.Value) {
-			d.deliv[id] = append(d.deliv[id], v.ID)
-		}
-		d.agents[id] = a
-		d.l.AddNode(id, a)
-		d.l.Subscribe(1, id)
+		a.Deliver = func(inst int64, v core.Value) { r.deliv[id] = append(r.deliv[id], v.ID) }
+		r.cores[id] = &a.ringCore
+		r.propose = a.Propose // the last one added: the proposer's
+		r.l.AddNode(id, a)
+		r.l.Subscribe(1, id)
+	}
+	r.l.InstallFaults(sched)
+	r.l.Start()
+	return r
+}
+
+// deployUFailover wires a U-Ring deployment with failover enabled: nacc
+// acceptors 0..nacc-1 (0 coordinates) followed by one non-acceptor ring
+// member, the proposer; every process is a learner.
+func deployUFailover(t *testing.T, nacc int, seed int64, sched *fault.Schedule) *foRig {
+	t.Helper()
+	cfg := UConfig{NumAcceptors: nacc, Failover: testFailover}
+	for i := 0; i <= nacc; i++ {
+		cfg.Ring = append(cfg.Ring, proto.NodeID(i))
+	}
+	cfg.Learners = cfg.Ring
+	r := &foRig{
+		l:        lan.New(lan.DefaultConfig(), seed),
+		cores:    make(map[proto.NodeID]*ringCore),
+		proposer: proto.NodeID(nacc),
+		learners: cfg.Ring[1:],
+		deliv:    make(map[proto.NodeID][]core.ValueID),
 	}
 	for _, id := range cfg.Ring {
-		add(id)
+		a := &UAgent{Cfg: cfg}
+		a.Deliver = func(inst int64, v core.Value) { r.deliv[id] = append(r.deliv[id], v.ID) }
+		r.cores[id] = &a.ringCore
+		r.propose = a.Propose // the last ring member: the proposer
+		r.l.AddNode(id, a)
 	}
-	for _, id := range spares {
-		add(id)
-	}
-	for _, id := range cfg.Learners {
-		add(id)
-	}
-	d.prop = &MAgent{Cfg: cfg}
-	d.agents[200] = d.prop
-	d.l.AddNode(200, d.prop)
-	d.l.Subscribe(1, 200)
-	d.l.InstallFaults(sched)
-	d.l.Start()
-	return d
+	r.l.InstallFaults(sched)
+	r.l.Start()
+	return r
 }
 
-func (d *foDeploy) propose(base, n int) {
+func (r *foRig) proposeN(base, n int) {
 	for i := 0; i < n; i++ {
-		d.prop.Propose(core.Value{ID: core.ValueID(base + i), Bytes: 512})
+		r.propose(core.Value{ID: core.ValueID(base + i), Bytes: 512})
 	}
 }
 
-// coordinators returns which of the given agents currently claim an
-// established coordinatorship.
-func coordinators(agents map[proto.NodeID]*MAgent, ids ...proto.NodeID) []proto.NodeID {
+// pump proposes five values every 2 ms from the proposer until *stop.
+func (r *foRig) pump(stop *bool) {
+	env := r.l.Node(r.proposer)
+	n := 0
+	var tick func()
+	tick = func() {
+		if *stop {
+			return
+		}
+		r.proposeN(n+1, 5)
+		n += 5
+		env.After(2*time.Millisecond, tick)
+	}
+	tick()
+}
+
+// coordinators returns, in id order, which processes outside dead claim an
+// established coordinatorship (a dead one keeps its pre-crash claim).
+func (r *foRig) coordinators(dead ...proto.NodeID) []proto.NodeID {
 	var out []proto.NodeID
-	for _, id := range ids {
-		if agents[id].IsCoordinator() {
+	for id, c := range r.cores {
+		if c.IsCoordinator() && !slices.Contains(dead, id) {
 			out = append(out, id)
 		}
 	}
+	slices.Sort(out)
 	return out
 }
 
-// TestMRingFailoverPermanentCrash kills the coordinator with no restart:
-// the highest-id survivor (1) must take over via ring-neighbor suspicion,
-// re-run Phase 1, announce the shrunk ring, and order new proposals.
-func TestMRingFailoverPermanentCrash(t *testing.T) {
-	sched := fault.New(1).Crash(100*time.Millisecond, 2, fault.Lose)
-	d := deployMFailover(t, 3, nil, 1, sched)
-	d.propose(1, 50)
-	d.l.Run(time.Second)
-	if got := coordinators(d.agents, 0, 1); len(got) != 1 || got[0] != 1 {
-		t.Fatalf("coordinators after failover: %v, want [1]", got)
+func (r *foRig) wantCoordinator(t *testing.T, when string, want proto.NodeID, dead ...proto.NodeID) {
+	t.Helper()
+	if got := r.coordinators(dead...); !slices.Equal(got, []proto.NodeID{want}) {
+		t.Fatalf("coordinators %s: %v, want [%d]", when, got, want)
 	}
-	d.propose(1001, 30)
-	d.l.Run(time.Second)
-	checkTotalOrder(t, d.deliv, d.learners, 80)
 }
 
-// TestMRingFailoverKillDuringPhase1 crashes the coordinator microseconds
-// into the run, while its initial Phase 1 messages are still in flight.
-func TestMRingFailoverKillDuringPhase1(t *testing.T) {
-	sched := fault.New(1).Crash(30*time.Microsecond, 2, fault.Lose)
-	d := deployMFailover(t, 3, nil, 2, sched)
-	d.l.Run(500 * time.Millisecond)
-	if got := coordinators(d.agents, 0, 1); len(got) != 1 || got[0] != 1 {
-		t.Fatalf("coordinators after mid-Phase-1 kill: %v, want [1]", got)
+// TestFailoverPermanentCrash kills the coordinator with no restart: the
+// highest-id surviving acceptor must take over via ring-neighbor
+// suspicion, re-run Phase 1, announce the re-laid-out ring (M-Ring: the
+// shrunk ring, on the group; U-Ring: itself at the head of a shrunk
+// acceptor segment, proposal forwarding re-routed around the dead node)
+// and order new proposals.
+func TestFailoverPermanentCrash(t *testing.T) {
+	for _, lay := range foLayouts {
+		t.Run(lay.name, func(t *testing.T) {
+			coord, _, heir := lay.cast(3)
+			r := lay.deploy(t, 3, 1, fault.New(1).Crash(100*time.Millisecond, coord, fault.Lose))
+			r.proposeN(1, 50)
+			r.l.Run(time.Second)
+			r.wantCoordinator(t, "after failover", heir, coord)
+			r.proposeN(1001, 30)
+			r.l.Run(time.Second)
+			checkTotalOrder(t, r.deliv, r.learners, 80)
+		})
 	}
-	d.propose(1, 40)
-	d.l.Run(time.Second)
-	checkTotalOrder(t, d.deliv, d.learners, 40)
+}
+
+// TestFailoverKillDuringPhase1 crashes the coordinator microseconds into
+// the run, while its initial Phase 1 messages are still in flight.
+func TestFailoverKillDuringPhase1(t *testing.T) {
+	for _, lay := range foLayouts {
+		t.Run(lay.name, func(t *testing.T) {
+			coord, _, heir := lay.cast(3)
+			r := lay.deploy(t, 3, 2, fault.New(1).Crash(30*time.Microsecond, coord, fault.Lose))
+			r.l.Run(500 * time.Millisecond)
+			r.wantCoordinator(t, "after mid-Phase-1 kill", heir, coord)
+			r.proposeN(1, 40)
+			r.l.Run(time.Second)
+			checkTotalOrder(t, r.deliv, r.learners, 40)
+		})
+	}
+}
+
+// TestFailoverRestartRingStateCatchUp restarts the coordinator's ring
+// successor AFTER the ring was reconfigured around the permanently dead
+// coordinator. Without the ring-state catch-up the restarted node would
+// aim its failure detector at the stale pre-crash layout, suspect its
+// long-dead ex-predecessor and nominate a takeover of a ring that already
+// moved on. With it, the node asks a live member for the current layout
+// before arming the detector, adopts it, and the settled coordinator stays
+// unchallenged. U-Ring runs five acceptors, not four: two are out at once,
+// and its Phase 1 needs a majority of the original set.
+func TestFailoverRestartRingStateCatchUp(t *testing.T) {
+	for i, lay := range foLayouts {
+		t.Run(lay.name, func(t *testing.T) {
+			n := 4 + i
+			coord, next, heir := lay.cast(n)
+			r := lay.deploy(t, n, 1, fault.New(1).
+				CrashFor(100*time.Millisecond, 300*time.Millisecond, next, fault.Lose).
+				Crash(150*time.Millisecond, coord, fault.Lose))
+			// Let the election settle while the node is still down, note the
+			// winner's round, then let it restart and observe for a while.
+			r.l.Run(390 * time.Millisecond)
+			r.wantCoordinator(t, "before restart", heir, coord, next)
+			settled := r.cores[heir].crnd
+			r.l.Run(610 * time.Millisecond)
+			r.wantCoordinator(t, "after restart", heir, coord)
+			if got := r.cores[heir].crnd; got != settled {
+				t.Fatalf("restarted node forced a re-election: round %d -> %d", settled, got)
+			}
+			back := r.cores[next]
+			if !slices.Equal(back.ring, r.cores[heir].ring) {
+				t.Fatalf("restarted node's ring %v, want the reconfigured %v", back.ring, r.cores[heir].ring)
+			}
+			if back.fo.needRing {
+				t.Fatal("ring-state catch-up never completed")
+			}
+		})
+	}
 }
 
 // TestMRingFailoverDoubleWithSpare kills the coordinator AND its elected
@@ -126,19 +244,16 @@ func TestMRingFailoverDoubleWithSpare(t *testing.T) {
 	sched := fault.New(1).
 		Crash(50*time.Millisecond, 2, fault.Lose).
 		Crash(52*time.Millisecond, 1, fault.Lose)
-	d := deployMFailover(t, 3, []proto.NodeID{5}, 3, sched)
-	d.propose(1, 30)
-	d.l.Run(2 * time.Second)
-	if got := coordinators(d.agents, 0, 5); len(got) != 1 || got[0] != 0 {
-		t.Fatalf("coordinators after double failover: %v, want [0]", got)
+	r := deployMFailover(t, 3, []proto.NodeID{5}, 3, sched)
+	r.proposeN(1, 30)
+	r.l.Run(2 * time.Second)
+	r.wantCoordinator(t, "after double failover", 0, 1, 2)
+	if ring := r.cores[0].ring; !slices.Contains(ring, 5) || slices.Contains(ring, 1) || slices.Contains(ring, 2) {
+		t.Fatalf("reconfigured ring %v, want spare 5 in, dead 1/2 out", ring)
 	}
-	a := d.agents[0]
-	if !ringContains(a.ring, 5) || ringContains(a.ring, 1) || ringContains(a.ring, 2) {
-		t.Fatalf("reconfigured ring %v, want spare 5 in, dead 1/2 out", a.ring)
-	}
-	d.propose(1001, 30)
-	d.l.Run(time.Second)
-	checkTotalOrder(t, d.deliv, d.learners, 60)
+	r.proposeN(1001, 30)
+	r.l.Run(time.Second)
+	checkTotalOrder(t, r.deliv, r.learners, 60)
 }
 
 // TestMRingFailoverStaleCoordinatorFenced crashes the coordinator with
@@ -148,32 +263,17 @@ func TestMRingFailoverDoubleWithSpare(t *testing.T) {
 // past the acceptors' round.
 func TestMRingFailoverStaleCoordinatorFenced(t *testing.T) {
 	sched := fault.New(1).CrashFor(50*time.Millisecond, 200*time.Millisecond, 2, fault.Lose)
-	d := deployMFailover(t, 3, nil, 4, sched)
+	r := deployMFailover(t, 3, nil, 4, sched)
 	// Continuous traffic keeps the new coordinator's 2As flowing past the
 	// restarted node, so its detector stays fed and fencing is immediate.
 	stop := false
-	n := 0
-	env := d.l.Node(200)
-	var pump func()
-	pump = func() {
-		if stop {
-			return
-		}
-		for i := 0; i < 5; i++ {
-			n++
-			d.prop.Propose(core.Value{ID: core.ValueID(n), Bytes: 512})
-		}
-		env.After(2*time.Millisecond, pump)
-	}
-	pump()
-	d.l.Run(time.Second)
+	r.pump(&stop)
+	r.l.Run(time.Second)
 	stop = true
-	if got := coordinators(d.agents, 0, 1, 2); len(got) != 1 || got[0] != 1 {
-		t.Fatalf("coordinators after restart of stale coordinator: %v, want [1]", got)
-	}
-	d.l.Run(500 * time.Millisecond)
-	checkTotalOrder(t, d.deliv, d.learners, -1)
-	if len(d.deliv[100]) == 0 {
+	r.wantCoordinator(t, "after restart of stale coordinator", 1)
+	r.l.Run(500 * time.Millisecond)
+	checkTotalOrder(t, r.deliv, r.learners, -1)
+	if len(r.deliv[100]) == 0 {
 		t.Fatal("no deliveries across the failover")
 	}
 }
@@ -185,81 +285,20 @@ func TestMRingFailoverStaleCoordinatorFenced(t *testing.T) {
 // agreed sequence.
 func TestMRingFailoverDuringPartitionHeal(t *testing.T) {
 	sched := fault.New(1).Split(100*time.Millisecond, 150*time.Millisecond, 2)
-	d := deployMFailover(t, 3, nil, 5, sched)
+	r := deployMFailover(t, 3, nil, 5, sched)
 	stop := false
-	n := 0
-	env := d.l.Node(200)
-	var pump func()
-	pump = func() {
-		if stop {
-			return
-		}
-		for i := 0; i < 5; i++ {
-			n++
-			d.prop.Propose(core.Value{ID: core.ValueID(n), Bytes: 512})
-		}
-		env.After(2*time.Millisecond, pump)
-	}
-	pump()
-	d.l.Run(100 * time.Millisecond)
-	pre := len(d.deliv[100])
-	d.l.Run(1900 * time.Millisecond)
+	r.pump(&stop)
+	r.l.Run(100 * time.Millisecond)
+	pre := len(r.deliv[100])
+	r.l.Run(1900 * time.Millisecond)
 	stop = true
-	if got := coordinators(d.agents, 0, 1, 2); len(got) != 1 {
+	if got := r.coordinators(); len(got) != 1 {
 		t.Fatalf("coordinators after heal: %v, want exactly one", got)
 	}
-	checkTotalOrder(t, d.deliv, d.learners, -1)
-	if post := len(d.deliv[100]); post <= pre {
+	checkTotalOrder(t, r.deliv, r.learners, -1)
+	if post := len(r.deliv[100]); post <= pre {
 		t.Fatalf("no delivery progress across partition+heal: %d -> %d", pre, post)
 	}
-}
-
-// deployUFailover wires a U-Ring deployment (every process a learner)
-// with failover enabled and a fault schedule installed before Start.
-func deployUFailover(n, nacc int, seed int64, sched *fault.Schedule) *uDeploy {
-	cfg := UConfig{NumAcceptors: nacc, Failover: testFailover}
-	d := &uDeploy{
-		l:     lan.New(lan.DefaultConfig(), seed),
-		deliv: make(map[proto.NodeID][]core.ValueID),
-	}
-	for i := 0; i < n; i++ {
-		cfg.Ring = append(cfg.Ring, proto.NodeID(i))
-		cfg.Learners = append(cfg.Learners, proto.NodeID(i))
-	}
-	for i := 0; i < n; i++ {
-		id := proto.NodeID(i)
-		a := &UAgent{Cfg: cfg}
-		a.Deliver = func(inst int64, v core.Value) {
-			d.deliv[id] = append(d.deliv[id], v.ID)
-		}
-		d.agents = append(d.agents, a)
-		d.l.AddNode(id, a)
-	}
-	d.l.InstallFaults(sched)
-	d.l.Start()
-	return d
-}
-
-// TestURingFailoverPermanentCrash kills the U-Ring coordinator (first
-// ring position) permanently: the highest-id surviving acceptor (2)
-// takes over at the head of a re-laid-out ring, the acceptor segment
-// shrinks to the survivors, and the ring change re-routes proposal
-// forwarding around the dead node.
-func TestURingFailoverPermanentCrash(t *testing.T) {
-	sched := fault.New(1).Crash(100*time.Millisecond, 0, fault.Lose)
-	d := deployUFailover(4, 3, 6, sched)
-	for i := 0; i < 50; i++ {
-		d.agents[3].Propose(core.Value{ID: core.ValueID(i + 1), Bytes: 512})
-	}
-	d.l.Run(time.Second)
-	if !d.agents[2].IsCoordinator() {
-		t.Fatal("highest-id surviving acceptor (2) did not take over")
-	}
-	for i := 0; i < 30; i++ {
-		d.agents[3].Propose(core.Value{ID: core.ValueID(1001 + i), Bytes: 512})
-	}
-	d.l.Run(time.Second)
-	checkTotalOrder(t, d.deliv, []proto.NodeID{1, 2, 3}, 80)
 }
 
 // TestURingFailoverQuorumLoss kills two of the three original acceptors.
@@ -270,13 +309,11 @@ func TestURingFailoverQuorumLoss(t *testing.T) {
 	sched := fault.New(1).
 		Crash(50*time.Millisecond, 0, fault.Lose).
 		Crash(150*time.Millisecond, 2, fault.Lose)
-	d := deployUFailover(4, 3, 7, sched)
-	for i := 0; i < 30; i++ {
-		d.agents[3].Propose(core.Value{ID: core.ValueID(i + 1), Bytes: 512})
-	}
-	d.l.Run(time.Second)
-	if d.agents[1].IsCoordinator() {
+	r := deployUFailover(t, 3, 7, sched)
+	r.proposeN(1, 30)
+	r.l.Run(time.Second)
+	if r.cores[1].IsCoordinator() {
 		t.Fatal("acceptor 1 established coordinatorship without an original-majority quorum")
 	}
-	checkTotalOrder(t, d.deliv, []proto.NodeID{1, 3}, 30)
+	checkTotalOrder(t, r.deliv, []proto.NodeID{1, 3}, 30)
 }

@@ -7,25 +7,39 @@ import (
 
 const headerBytes = 32 // modeled fixed header of every protocol message
 
-// Wire messages shared by M-Ring Paxos and U-Ring Paxos. The "m" prefix
-// marks multicast-variant messages, "u" the unicast variant.
+// Wire messages of M-Ring Paxos and U-Ring Paxos. The "m" prefix marks
+// multicast-variant messages, "u" the unicast variant; Phase 1 and the
+// failover and restart messages further down are shared.
 type (
 	// MsgPropose carries a client value toward the coordinator.
 	MsgPropose struct{ V core.Value }
 
-	// mPhase1A opens round Rnd and proposes the ring layout (§3.3.2: the
-	// coordinator proposes the ring before Phase 1; acceptors abide by it
-	// when they reply).
-	mPhase1A struct {
+	// ringAt is a ring layout as of round Rnd, the payload of every message
+	// that proposes, announces or reports one. NAcc is the length of the
+	// acceptor segment (M-Ring: the whole ring).
+	ringAt struct {
 		Rnd  int64
 		Ring []proto.NodeID
+		NAcc int
 	}
-	// mPhase1B is an acceptor's promise with its prior votes. MaxInst is
-	// the highest instance the acceptor has ever seen, so a new coordinator
-	// resumes numbering above instances whose state was garbage-collected.
-	mPhase1B struct {
+	// phase1A opens round Rnd over direct channels (Phase 1 is infrequent
+	// and pre-executed). A non-empty Ring proposes the layout (§3.3.2: the
+	// coordinator proposes the ring before Phase 1; acceptors abide by it
+	// when they promise): M-Ring sends it with every round, U-Ring only for
+	// a reconfigured ring, and a nil Ring leaves the receiver's layout
+	// untouched.
+	phase1A struct{ ringAt }
+	// phase1B is an acceptor's promise with its prior votes. M-Ring reports
+	// MaxInst, the highest instance the acceptor has ever seen, so a new
+	// coordinator resumes numbering above garbage-collected instances.
+	// U-Ring reports Floor, the acceptor's trim floor, so a new coordinator
+	// never resurrects a vote another acceptor already trimmed (it would
+	// stall mid-ring at that acceptor's floor guard and pin a window slot
+	// forever).
+	phase1B struct {
 		Rnd     int64
 		MaxInst int64
+		Floor   int64
 		Votes   map[int64]vote
 	}
 	// mPhase2A proposes batch Val with unique id VID in instance Inst.
@@ -99,24 +113,6 @@ type (
 		Val  core.Batch
 		Hops int
 	}
-	// uPhase1A / uPhase1B run U-Ring's (infrequent, pre-executed) Phase 1
-	// over direct channels. Floor carries the acceptor's garbage-collection
-	// trim floor so a new coordinator never resurrects a vote another
-	// acceptor already trimmed (such an instance would stall mid-ring at
-	// that acceptor's floor guard and pin a window slot forever). Ring and
-	// NAcc, when set, propose a reconfigured ring layout (failover: the
-	// surviving quorum abides by it when it promises); a nil Ring leaves
-	// the receiver's layout untouched.
-	uPhase1A struct {
-		Rnd  int64
-		Ring []proto.NodeID
-		NAcc int
-	}
-	uPhase1B struct {
-		Rnd   int64
-		Votes map[int64]vote
-		Floor int64
-	}
 
 	// mHeartbeat is the failure detector's ring-neighbor beacon: each ring
 	// member sends one to its successor every Failover.Heartbeat and
@@ -127,29 +123,19 @@ type (
 	// mTakeOver nominates the receiver as the new coordinator over Ring
 	// (its coordinator position must be the receiver). Rnd is the
 	// nominator's highest observed round, so the nominee's Phase 1 starts
-	// strictly above the dead coordinator's round. NAcc carries the
-	// surviving acceptor count for U-Ring reconfigurations.
-	mTakeOver struct {
-		Rnd  int64
-		Ring []proto.NodeID
-		NAcc int
-	}
+	// strictly above the dead coordinator's round.
+	mTakeOver struct{ ringAt }
 	// mRingChange announces a reconfigured ring on the multicast group
 	// after a takeover's Phase 1 completes, so learners and proposers —
-	// which are not ring members and never see mPhase1A — re-aim their
+	// which are not ring members and never see a Phase 1A — re-aim their
 	// retransmission requests and proposals at the new coordinator.
-	mRingChange struct {
-		Rnd  int64
-		Ring []proto.NodeID
-	}
+	mRingChange struct{ ringAt }
 	// uRingChange circulates a reconfigured ring layout once around the
 	// U-Ring (there is no multicast group to announce on): every member
 	// adopts the new ring and acceptor count, re-routing succ() around the
 	// dead node. Hops stops the revolution.
 	uRingChange struct {
-		Rnd  int64
-		Ring []proto.NodeID
-		NAcc int
+		ringAt
 		Hops int
 	}
 
@@ -175,12 +161,7 @@ type (
 	// takeover of a ring that already moved on).
 	mRingStateReq struct{}
 	// mRingState answers with the replier's current layout and round.
-	// NAcc carries the acceptor count for U-Ring deployments.
-	mRingState struct {
-		Rnd  int64
-		Ring []proto.NodeID
-		NAcc int
-	}
+	mRingState struct{ ringAt }
 )
 
 type vote struct {
@@ -195,8 +176,8 @@ type vote struct {
 
 // Size implements proto.Message for each wire type.
 func (m MsgPropose) Size() int { return headerBytes + m.V.Bytes }
-func (m mPhase1A) Size() int   { return headerBytes + 4*len(m.Ring) }
-func (m mPhase1B) Size() int {
+func (l ringAt) Size() int     { return headerBytes + 4*len(l.Ring) }
+func (m phase1B) Size() int {
 	n := headerBytes
 	for _, v := range m.Votes {
 		n += headerBytes + v.val.Size()
@@ -215,20 +196,8 @@ func (m uPhase2) Size() int        { return headerBytes + m.Val.Size() }
 func (m uDecision) Size() int {
 	return headerBytes + m.Val.Size()
 }
-func (m uPhase1A) Size() int    { return headerBytes + 4*len(m.Ring) }
-func (m mHeartbeat) Size() int  { return headerBytes }
-func (m mTakeOver) Size() int   { return headerBytes + 4*len(m.Ring) }
-func (m mRingChange) Size() int { return headerBytes + 4*len(m.Ring) }
-func (m uRingChange) Size() int { return headerBytes + 4*len(m.Ring) }
-func (m uPhase1B) Size() int {
-	n := headerBytes
-	for _, v := range m.Votes {
-		n += headerBytes + v.val.Size()
-	}
-	return n
-}
+func (m mHeartbeat) Size() int { return headerBytes }
 func (m mSnapshot) Size() int {
 	return headerBytes + m.StateBytes + core.DedupEntryBytes*len(m.Dedup)
 }
 func (m mRingStateReq) Size() int { return headerBytes }
-func (m mRingState) Size() int    { return headerBytes + 4*len(m.Ring) }

@@ -9,9 +9,31 @@
 //     around a ring that contains every process.
 //
 // Both variants batch application values (8 KB / 32 KB packets), pipeline a
-// window of outstanding instances, recover lost messages by retransmission,
-// garbage-collect acceptor state using learner versions, and implement the
-// learner-driven flow control of §3.3.6.
+// window of outstanding instances, garbage-collect acceptor state using
+// learner versions, survive coordinator failure (§3.3) and recover from
+// crashes (§3.5.5).
+//
+// # Structure
+//
+// The variants are one protocol skeleton with two ring layouts, and the
+// code is split that way:
+//
+//   - ringCore (ringcore.go, failover.go, recovery.go), embedded by value
+//     in both agents, owns what is the same: ring membership, roles and
+//     rounds; the Phase 1 vote-adoption merge; the failure detector,
+//     election and restart catch-up; Lose-crash durability and log replay;
+//     the learner tail (exactly-once check, trace, counters, Deliver); and
+//     the trim that follows the garbage-collection floor.
+//   - The layout policy is what differs about the ring: where the
+//     coordinator sits and how survivors are re-laid out (data in
+//     ringParams: M-Ring last, refilled from spares; U-Ring first, ahead of
+//     a shrinking acceptor segment), and how a ring is proposed and
+//     announced (the layout interface each agent implements), which the
+//     core consults off the per-message path only.
+//   - MAgent keeps M-Ring's multicast 2A with ring 2B, gap recovery,
+//     partition masks, speculative delivery, flow control (§3.3.6) and
+//     snapshots; UAgent the combined 2A/2B pipeline, decision revolution
+//     and payload stripping. Each keeps its batcher and store record type.
 //
 // # Hot-path design
 //
@@ -27,7 +49,7 @@ package ringpaxos
 
 import (
 	"math/bits"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -123,24 +145,7 @@ type MConfig struct {
 }
 
 func (c *MConfig) defaults() {
-	if c.Window == 0 {
-		c.Window = 64
-	}
-	if c.BatchBytes == 0 {
-		c.BatchBytes = 8 << 10
-	}
-	if c.BatchDelay == 0 {
-		c.BatchDelay = 500 * time.Microsecond
-	}
-	if c.Retry == 0 {
-		c.Retry = 20 * time.Millisecond
-	}
-	if c.GCInterval == 0 {
-		c.GCInterval = DefaultGCInterval
-	}
-	if c.GCInterval < 0 {
-		c.GCInterval = 0 // explicit off: no version timer is ever armed
-	}
+	sharedDefaults(&c.Window, &c.BatchBytes, 8<<10, &c.BatchDelay, &c.Retry, &c.GCInterval)
 	if c.SnapshotBytes == 0 {
 		c.SnapshotBytes = 64 << 10
 	}
@@ -172,7 +177,7 @@ type logEntry struct {
 	pooled  bool // val.Vals came from this agent's pool; recycle on GC
 
 	diskDone bool
-	// Parked Phase 2B (Task 5's v-vid check), formerly a separate map.
+	// Parked Phase 2B (Task 5's v-vid check).
 	has2B  bool
 	p2bRnd int64
 	p2bVID core.ValueID
@@ -208,8 +213,6 @@ type learnEntry struct {
 // Any node (including dedicated proposer nodes) can Propose.
 type MAgent struct {
 	Cfg MConfig
-	// Deliver is invoked on learners for every value in delivery order.
-	Deliver core.DeliverFunc
 	// SpecDeliver, when Cfg.Speculative, is invoked on learners at Phase 2A
 	// receipt, in receipt order, before the value is decided.
 	SpecDeliver core.DeliverFunc
@@ -225,25 +228,17 @@ type MAgent struct {
 	// a delivery-equivalence digest (see core.DelivTrace). Pure
 	// observation: it sends nothing and consumes no simulated time.
 	Trace *core.DelivTrace
-	// Log is this process's write-ahead log, required when Cfg.Durability
-	// is DurWAL. It models the stable medium, so the DEPLOYMENT owns it
-	// (the rig sets it before Start): it survives the agent's crash the
-	// way a disk survives a process, and replayWAL reads it on restart.
-	Log *wal.Log
 
-	env proto.Env
+	// ringCore is the skeleton shared with U-Ring Paxos; the Deliver hook,
+	// the write-ahead Log and the delivery counters are its fields.
+	ringCore
 
 	// --- coordinator state ---
-	isCoord      bool
-	phase1Done   bool
-	crnd         int64
-	promises     map[proto.NodeID]mPhase1B
 	pending      []core.Value
 	pendingBytes int
 	batchArmed   bool
 	next         int64
 	open         core.InstLog[openInst]
-	pool         core.BatchPool
 	window       int
 	lastSlow     time.Duration
 	// decQ accumulates decided instance ids between flushes. The buffer is
@@ -253,31 +248,15 @@ type MAgent struct {
 	timersArmed bool
 
 	// --- acceptor state ---
-	rnd     int64
 	maxInst int64
-	ring    []proto.NodeID
 	// coord is the coordinator this node currently routes proposals and
 	// gap-recovery requests to; ring changes re-aim it.
-	coord proto.NodeID
-	// fo is the failure detector / election state (inert unless
-	// Cfg.Failover is enabled).
-	fo foState
-	// retired marks a DurVolatile process that restarted after losing its
-	// acceptor state: classic Paxos forbids it from ever promising or
-	// voting again (it cannot remember what it promised), so it stays out
-	// of the acceptor and coordinator roles for the rest of the run. The
-	// learner role is unaffected.
-	retired   bool
+	coord     proto.NodeID
 	store     core.InstLog[logEntry]
 	storeByte int
-	// versions tracks learner-reported applied instances and the trim
-	// floor (§3.3.7) through the shared garbage-collection subsystem.
-	versions   core.VersionTracker
-	quarantine [][]core.Value // trimmed pooled arrays awaiting one more GC round
 
 	// --- learner state ---
 	insts        core.InstLog[learnEntry]
-	nextDeliver  int64
 	maxDecided   int64
 	backlog      int
 	notified     bool
@@ -295,47 +274,24 @@ type MAgent struct {
 	versionFn     func()
 	notifyResetFn func()
 
-	// DeliveredBytes/DeliveredMsgs count application payload delivered at
-	// this learner.
-	DeliveredBytes int64
-	DeliveredMsgs  int64
-	// LatencySum accumulates propose-to-deliver latency for values whose
-	// Born field is set.
-	LatencySum   time.Duration
-	LatencyCount int64
-	// Latencies, if non-nil before Start, records each delivery latency.
-	Latencies *[]time.Duration
 	// SnapshotsInstalled counts snapshot catch-ups performed by this
 	// learner (mSnapshot installs that actually moved the frontier).
 	SnapshotsInstalled int64
-	// DupSuppressed counts stamped commands that were decided again (a
-	// client retry won a second instance) and were acked from the dedup
-	// table instead of re-executed.
-	DupSuppressed int64
-
-	// dedup is the exactly-once layer's replicated per-client
-	// last-applied-seq table (see core.DedupTable). Nil until the first
-	// stamped value is seen, so deployments without client sessions never
-	// allocate or consult it. Learners feed it at delivery; acceptors fold
-	// decided stamped values into theirs so the snapshot path can carry
-	// the table to catch-up learners.
-	dedup *core.DedupTable
-	// dedupSup is a reusable scratch marking which values of the batch
-	// being finished are duplicates (suppressed).
-	dedupSup []bool
 }
 
 var _ proto.Handler = (*MAgent)(nil)
 
 // Start implements proto.Handler.
 func (a *MAgent) Start(env proto.Env) {
-	a.env = env
 	a.Cfg.defaults()
+	a.start(env, a, ringParams{
+		learners: a.Cfg.Learners, retry: a.Cfg.Retry, failover: a.Cfg.Failover,
+		durability: a.Cfg.Durability, diskSync: a.Cfg.DiskSync,
+		coordLast: true, spares: a.Cfg.Spares,
+	}, a.Cfg.Ring, len(a.Cfg.Ring))
 	a.window = a.Cfg.Window
 	a.maxInst = -1
-	a.ring = a.Cfg.Ring
 	a.coord = a.Cfg.Coordinator()
-	a.promises = make(map[proto.NodeID]mPhase1B)
 	a.batchFn = func() { a.batchArmed = false; a.flush() }
 	a.retryFn = a.retryInstance
 	a.decFlushFn = a.decisionFlushTick
@@ -350,62 +306,22 @@ func (a *MAgent) Start(env proto.Env) {
 		}
 	}
 	if env.ID() == a.Cfg.Coordinator() {
-		a.becomeCoordinator(1, a.Cfg.Ring)
+		a.becomeCoordinator(1, a.Cfg.Ring, len(a.Cfg.Ring))
 	}
 	if a.isLearner() {
 		a.armLearnerTimers()
 	}
-	if a.Cfg.Failover.Enabled() && (a.isAcceptor() || a.isSpare()) {
+	if a.Cfg.Failover.Enabled() && (a.isAcceptor() || slices.Contains(a.Cfg.Spares, env.ID())) {
 		// Ring members heartbeat from the start; spares arm the same tick
 		// but stay passive until a reconfiguration pulls them into the ring.
-		a.fo.tickFn = a.failoverTick
-		proto.AfterFree(a.env, a.Cfg.Failover.Heartbeat, a.fo.tickFn)
+		a.armDetector()
 	}
 }
-
-func (a *MAgent) isAcceptor() bool {
-	for _, id := range a.ring {
-		if id == a.env.ID() {
-			return true
-		}
-	}
-	return false
-}
-
-func (a *MAgent) isLearner() bool {
-	for _, id := range a.Cfg.Learners {
-		if id == a.env.ID() {
-			return true
-		}
-	}
-	return false
-}
-
-func (a *MAgent) isSpare() bool { return ringContains(a.Cfg.Spares, a.env.ID()) }
-
-// IsCoordinator reports whether this agent currently leads the ring with
-// a completed Phase 1. Failover-aware callers (skip pacers, rigs) consult
-// it instead of comparing against the static configuration.
-func (a *MAgent) IsCoordinator() bool { return a.isCoord && a.phase1Done }
 
 // Coordinator returns this agent's current view of the ring coordinator
 // (re-aimed by ring changes after a failover). Client sessions composed
 // with a proposer agent consult it to decide where a retry would go.
 func (a *MAgent) Coordinator() proto.NodeID { return a.coord }
-
-// DedupSeq returns the learner's last applied sequence for a client (0
-// when unknown) — the dedup table's view, for tests and probes.
-func (a *MAgent) DedupSeq(client int64) int64 { return a.dedup.Seq(client) }
-
-// ringIndex returns this node's position in the current ring, or -1.
-func (a *MAgent) ringIndex() int {
-	for i, id := range a.ring {
-		if id == a.env.ID() {
-			return i
-		}
-	}
-	return -1
-}
 
 // successor returns the next process after position i in the ring.
 func (a *MAgent) successor(i int) proto.NodeID { return a.ring[i+1] }
@@ -413,43 +329,18 @@ func (a *MAgent) successor(i int) proto.NodeID { return a.ring[i+1] }
 // preferential returns the ring acceptor assigned to learner id for
 // retransmissions and version reports (load balanced round-robin, §3.3.4).
 func (a *MAgent) preferential() proto.NodeID {
-	idx := 0
-	for i, id := range a.Cfg.Learners {
-		if id == a.env.ID() {
-			idx = i
-			break
-		}
-	}
+	idx := max(0, slices.Index(a.Cfg.Learners, a.env.ID()))
 	return a.ring[idx%len(a.ring)]
 }
 
-// becomeCoordinator starts Phase 1 with a fresh round and ring layout.
-func (a *MAgent) becomeCoordinator(minRound int64, ring []proto.NodeID) {
-	a.isCoord = true
-	a.phase1Done = false
-	a.promises = make(map[proto.NodeID]mPhase1B)
-	r := (minRound << 10) | int64(a.env.ID())
-	if r <= a.crnd {
-		r = (((a.crnd >> 10) + 1) << 10) | int64(a.env.ID())
-	}
-	a.crnd = r
-	m := mPhase1A{Rnd: a.crnd, Ring: ring}
+// sendPhase1A implements layout: every round proposes the ring (§3.3.2) to
+// all of it. The coordinator installs the layout like any other member,
+// when its own 1A arrives.
+func (a *MAgent) sendPhase1A(ring []proto.NodeID, _ int) {
+	m := phase1A{ringAt{a.crnd, ring, len(ring)}}
 	for _, id := range ring {
 		a.env.Send(id, m)
 	}
-	a.env.After(a.Cfg.Retry, func() {
-		if a.isCoord && !a.phase1Done {
-			a.becomeCoordinator(a.crnd>>10, ring)
-		}
-	})
-}
-
-// TakeOver promotes this agent to coordinator over newRing (failover and
-// reconfiguration entry point; the last element must be this node). The
-// reconfigured ring is announced on the group once Phase 1 completes.
-func (a *MAgent) TakeOver(newRing []proto.NodeID) {
-	a.fo.tookOver = true
-	a.becomeCoordinator((a.rnd>>10)+1, newRing)
 }
 
 // ProposeBatch opens a consensus instance for b immediately, bypassing
@@ -481,11 +372,7 @@ func (a *MAgent) Propose(v core.Value) {
 
 // Receive implements proto.Handler.
 func (a *MAgent) Receive(from proto.NodeID, m proto.Message) {
-	// Any traffic from the monitored ring predecessor is a sign of life
-	// (one predictable branch when failover is disabled).
-	if a.fo.mon && from == a.fo.pred {
-		a.fo.last = a.env.Now()
-	}
+	a.heard(from)
 	switch msg := m.(type) {
 	case *MsgPropose:
 		if a.isCoord {
@@ -501,9 +388,9 @@ func (a *MAgent) Receive(from proto.NodeID, m proto.Message) {
 			a.env.Send(proto.NodeID(msg.V.Client), n)
 		}
 		msgProposePool.Put(msg)
-	case mPhase1A:
+	case phase1A:
 		a.onPhase1A(from, msg)
-	case mPhase1B:
+	case phase1B:
 		a.onPhase1B(from, msg)
 	case mPhase2A:
 		a.onPhase2A(msg)
@@ -521,126 +408,57 @@ func (a *MAgent) Receive(from proto.NodeID, m proto.Message) {
 		a.onSlowDown(msg)
 	case proto.VersionReport:
 		a.onVersion(msg)
-	case mHeartbeat:
-		// Pure liveness beacon; the prologue above already recorded it.
-	case mTakeOver:
-		a.onTakeOver(msg)
 	case mRingChange:
-		a.onRingChange(msg)
+		a.announced(msg.ringAt)
 	case mSnapshot:
 		a.onSnapshot(msg)
-	case mRingStateReq:
-		a.onRingStateReq(from)
-	case mRingState:
-		a.onRingState(msg)
+	default:
+		a.receiveShared(from, m)
 	}
 }
 
-// LoseVolatile implements proto.VolatileLoser: a crash that destroys
-// volatile state (fault.Lose) discards the staged client values awaiting
-// proposal, then applies the configured Durability to the protocol state.
-// Under the default DurModeled, acceptor votes, open instances and the
-// learner's reorder buffer are retained — the protocol treats them as
-// recoverable from stable storage that costs nothing. DurVolatile loses
-// them honestly and retires the process from the acceptor/coordinator
-// roles; DurWAL loses them and replays the write-ahead log. The learner's
-// delivery state is retained in every mode: it models the application's
-// own durable state, whose catch-up story is the snapshot path, not the
-// protocol WAL.
-func (a *MAgent) LoseVolatile() {
+// loseState implements layout: an honest crash takes the votes, the
+// coordinator's soft state and the flow-control window.
+func (a *MAgent) loseState(honest bool) {
 	a.pending = a.pending[:0]
 	a.pendingBytes = 0
-	a.fo.reset()
-	switch a.Cfg.Durability {
-	case DurVolatile:
-		a.loseAcceptorState()
-		a.retired = true
-	case DurWAL:
-		a.loseAcceptorState()
-		a.replayWAL()
+	if !honest {
+		return
 	}
-	if a.Cfg.Failover.Enabled() && !a.retired {
-		// The ring may have been reconfigured during the outage: learn the
-		// current layout from a live member before re-arming the detector
-		// (failoverTick holds the monitor off while needRing is set).
-		a.fo.needRing = true
-	}
-}
-
-// loseAcceptorState wipes everything a Lose crash destroys in a process
-// with honest volatile state: promises, votes, the coordinator's soft
-// state, and the garbage-collection bookkeeping.
-func (a *MAgent) loseAcceptorState() {
-	a.rnd = 0
 	a.maxInst = -1
 	a.store = core.InstLog[logEntry]{}
 	a.storeByte = 0
-	a.versions = core.VersionTracker{}
-	a.quarantine = nil
-	a.pool = core.BatchPool{}
-	a.isCoord, a.phase1Done = false, false
-	a.crnd = 0
-	a.promises = make(map[proto.NodeID]mPhase1B)
 	a.open = core.InstLog[openInst]{}
 	a.decQ = nil
 	a.timersArmed = false
 	a.window = a.Cfg.Window
-	a.fo.tookOver = false
 }
 
-// replayWAL rebuilds acceptor and coordinator state from the write-ahead
-// log after loseAcceptorState. Replayed votes re-enter the store with
-// diskDone set — the log IS the disk copy. A process that finds itself at
-// its ring's coordinator position re-enters Phase 1 one round above its
-// highest logged promise: unlike a volatile process it can prove every
-// promise it ever made, so resuming coordinatorship is safe (the classic
-// Paxos stable-storage rule that forces DurVolatile to retire instead).
-func (a *MAgent) replayWAL() {
-	a.Log.Replay(func(r wal.Record) {
-		switch r.Kind {
-		case wal.KindSnapshot:
-			a.versions.SetFloor(r.Inst)
-		case wal.KindPromise:
-			if r.Rnd > a.rnd {
-				a.rnd = r.Rnd
-			}
-		case wal.KindVote:
-			if r.Inst < a.versions.Floor() {
-				return
-			}
-			if r.Inst > a.maxInst {
-				a.maxInst = r.Inst
-			}
-			size := r.Val.Size()
-			e, _ := a.store.Put(r.Inst)
-			a.storeByte += size - e.bytes
-			e.vid, e.val, e.bytes, e.mask = r.VID, r.Val, size, r.Mask
-			e.diskDone = true
-		case wal.KindDecision:
-			if r.Inst < a.versions.Floor() {
-				return
-			}
-			e, _ := a.store.Put(r.Inst)
-			e.decided = true
-			if e.vid == 0 {
-				e.vid, e.mask = r.VID, r.Mask
-			} else {
-				// Rebuild the acceptor-side dedup table from the replayed
-				// decided batches (the table itself is volatile).
-				a.foldDedup(r.Inst, e.val)
-			}
+// replayRecord implements layout. Replayed votes re-enter the store with
+// diskDone set — the log IS the disk copy.
+func (a *MAgent) replayRecord(r wal.Record) {
+	switch r.Kind {
+	case wal.KindVote:
+		if r.Inst > a.maxInst {
+			a.maxInst = r.Inst
 		}
-	})
-	if n := len(a.ring); n > 0 && a.ring[n-1] == a.env.ID() {
-		// Still this ring's coordinator (as far as it knows — a stale
-		// layout's Phase 1 is fenced by higher-round promises, and the
-		// needRing catch-up corrects the layout).
-		a.becomeCoordinator((a.rnd>>10)+1, a.ring)
+		size := r.Val.Size()
+		e, _ := a.store.Put(r.Inst)
+		a.storeByte += size - e.bytes
+		e.vid, e.val, e.bytes, e.mask = r.VID, r.Val, size, r.Mask
+		e.diskDone = true
+	case wal.KindDecision:
+		e, _ := a.store.Put(r.Inst)
+		e.decided = true
+		if e.vid == 0 {
+			e.vid, e.mask = r.VID, r.Mask
+		} else {
+			// Rebuild the acceptor-side dedup table from the replayed
+			// decided batches (the table itself is volatile).
+			a.foldDedup(r.Inst, e.val)
+		}
 	}
 }
-
-// walOn reports whether this agent appends to a write-ahead log.
-func (a *MAgent) walOn() bool { return a.Cfg.Durability == DurWAL && a.Log != nil }
 
 // --- coordinator ---
 
@@ -699,7 +517,7 @@ func (a *MAgent) startInstance(b core.Batch, mask uint64, pooled bool) {
 	inst := a.next
 	a.next++
 	oi, _ := a.open.Put(inst)
-	oi.vid = core.ValueID(a.crnd<<32 | inst)
+	oi.vid = a.freshVID(inst)
 	oi.val = b
 	oi.mask = mask
 	oi.pooled = pooled
@@ -736,7 +554,7 @@ func (a *MAgent) sendPhase2A(inst int64, oi *openInst) {
 // armDecBuf stamps b with the decision group's subscriber count so the
 // last receiver recycles it. Without a sizing environment it returns nil:
 // the id arrays still travel in the message but fall to the garbage
-// collector, exactly the pre-pooling behavior.
+// collector.
 func (a *MAgent) armDecBuf(b *core.DecBuf) *core.DecBuf {
 	if n := proto.GroupSizeOf(a.env, a.Cfg.Group); n > 0 {
 		b.Arm(n)
@@ -753,15 +571,10 @@ func (a *MAgent) retryInstance(inst int64) {
 	}
 }
 
-func (a *MAgent) onPhase1B(from proto.NodeID, m mPhase1B) {
-	if !a.isCoord || m.Rnd != a.crnd || a.phase1Done {
+func (a *MAgent) onPhase1B(from proto.NodeID, m phase1B) {
+	if !a.promised(from, m, len(a.ring)) { // the whole ring is the m-quorum
 		return
 	}
-	a.promises[from] = m
-	if len(a.promises) < len(a.ring) {
-		return // the whole ring is the m-quorum
-	}
-	a.phase1Done = true
 	for _, p := range a.promises {
 		if p.MaxInst >= a.next {
 			a.next = p.MaxInst + 1
@@ -770,45 +583,24 @@ func (a *MAgent) onPhase1B(from proto.NodeID, m mPhase1B) {
 	if a.maxInst >= a.next {
 		a.next = a.maxInst + 1
 	}
-	adopt := make(map[int64]vote)
-	for _, p := range a.promises {
-		for inst, v := range p.Votes {
-			if e, ok := a.store.Get(inst); ok && e.decided {
-				continue
-			}
-			if cur, ok := adopt[inst]; !ok || v.rnd > cur.rnd {
-				adopt[inst] = v
-			}
+	adopted := a.adoptVotes(func(inst int64) bool {
+		e, ok := a.store.Get(inst)
+		return ok && e.decided
+	})
+	for _, ad := range adopted {
+		if ad.inst >= a.next {
+			a.next = ad.inst + 1
 		}
-	}
-	insts := make([]int64, 0, len(adopt))
-	for inst := range adopt {
-		insts = append(insts, inst)
-	}
-	sort.Slice(insts, func(i, j int) bool { return insts[i] < insts[j] })
-	for _, inst := range insts {
-		if inst >= a.next {
-			a.next = inst + 1
-		}
-		oi, _ := a.open.Put(inst)
-		// Keep the adopted vote's value id: consensus is on value ids, so
-		// an instance the dead coordinator may already have decided at some
-		// learner must be re-proposed as the SAME id, never a fresh one.
-		oi.vid = adopt[inst].vid
-		if oi.vid == 0 {
-			oi.vid = core.ValueID(a.crnd<<32 | inst)
-		}
-		oi.val = adopt[inst].val
-		oi.mask = 0
-		oi.pooled = false
-		a.sendPhase2A(inst, oi)
+		oi, _ := a.open.Put(ad.inst)
+		*oi = openInst{vid: ad.vid, val: ad.val}
+		a.sendPhase2A(ad.inst, oi)
 	}
 	if a.fo.tookOver {
 		// Announce the reconfigured ring to non-ring members (learners,
 		// proposers never see mPhase1A): they re-aim gap recovery and
 		// proposals at the new coordinator, and a stale ex-coordinator
 		// that restarts observes the higher round and stands down.
-		a.env.Multicast(a.Cfg.Group, mRingChange{Rnd: a.crnd, Ring: a.ring})
+		a.env.Multicast(a.Cfg.Group, mRingChange{ringAt{a.crnd, a.ring, a.nacc}})
 	}
 	a.flush()
 	if !a.timersArmed {
@@ -900,7 +692,7 @@ func (a *MAgent) decide(inst int64) {
 
 // --- acceptor ---
 
-func (a *MAgent) onPhase1A(from proto.NodeID, m mPhase1A) {
+func (a *MAgent) onPhase1A(from proto.NodeID, m phase1A) {
 	if m.Rnd <= a.rnd {
 		return
 	}
@@ -909,7 +701,7 @@ func (a *MAgent) onPhase1A(from proto.NodeID, m mPhase1A) {
 	}
 	a.rnd = m.Rnd
 	if len(m.Ring) > 0 {
-		a.ring = m.Ring // abide by the proposed ring
+		a.ring, a.nacc = m.Ring, m.NAcc // abide by the proposed ring
 		a.fo.needRing = false
 	}
 	if !a.isAcceptor() || a.retired {
@@ -917,22 +709,14 @@ func (a *MAgent) onPhase1A(from proto.NodeID, m mPhase1A) {
 		// what it promised before the crash.
 		return
 	}
-	reply := mPhase1B{Rnd: a.rnd, MaxInst: a.maxInst, Votes: make(map[int64]vote)}
+	reply := phase1B{Rnd: a.rnd, MaxInst: a.maxInst, Votes: make(map[int64]vote)}
 	a.store.Range(func(inst int64, e *logEntry) bool {
 		if e.vid != 0 {
 			reply.Votes[inst] = vote{rnd: a.rnd, vid: e.vid, val: e.val}
 		}
 		return true
 	})
-	if a.walOn() {
-		// The promise is binding only once durable: persist it before the
-		// 1B leaves (Phase 1 is rare, so the closure is off the hot path).
-		to := from
-		a.Log.Append(a.env, wal.Record{Kind: wal.KindPromise, Rnd: a.rnd},
-			func() { a.env.Send(to, reply) })
-		return
-	}
-	a.env.Send(from, reply)
+	a.promise(from, reply)
 }
 
 func (a *MAgent) onPhase2A(m mPhase2A) {
@@ -972,21 +756,15 @@ func (a *MAgent) onPhase2A(m mPhase2A) {
 		a.storeByte += size - e.bytes
 		e.vid, e.val, e.bytes, e.mask = m.VID, m.Val, size, m.Mask()
 	}
-	if a.walOn() {
-		// The vote is appended to the log before the 2B may act on it —
-		// the same parallel-across-the-ring write as DiskSync (§3.5.5),
-		// but with the record retained for crash replay.
-		inst, rnd, vid := m.Inst, m.Rnd, m.VID
-		a.Log.Append(a.env,
-			wal.Record{Kind: wal.KindVote, Inst: inst, Rnd: rnd, VID: vid, Mask: m.Mask(), Val: m.Val},
-			func() { a.phase2AProceed(inst, rnd, vid) })
-	} else if a.Cfg.DiskSync {
-		// All ring acceptors write in parallel at 2A delivery (§3.5.5).
-		inst, rnd, vid := m.Inst, m.Rnd, m.VID
-		a.env.DiskWrite(size+headerBytes, func() { a.phase2AProceed(inst, rnd, vid) })
-	} else {
+	if !a.syncVotes() {
 		a.phase2AProceed(m.Inst, m.Rnd, m.VID)
+		return
 	}
+	// The vote is stable before the 2B may act on it. All ring acceptors
+	// write in parallel, at 2A delivery (§3.5.5).
+	inst, rnd, vid := m.Inst, m.Rnd, m.VID
+	a.persist(wal.Record{Kind: wal.KindVote, Inst: inst, Rnd: rnd, VID: vid, Mask: m.Mask(), Val: m.Val},
+		func() { a.phase2AProceed(inst, rnd, vid) })
 }
 
 // phase2AProceed runs once the 2A's value is locally stable: the first ring
@@ -1042,7 +820,7 @@ func (a *MAgent) onPhase2B(m *mPhase2B) {
 		return
 	}
 	e, ok := a.store.Get(m.Inst)
-	if !ok || e.vid == 0 || e.vid != m.VID || ((a.Cfg.DiskSync || a.walOn()) && !e.diskDone) {
+	if !ok || e.vid == 0 || e.vid != m.VID || (a.syncVotes() && !e.diskDone) {
 		// Haven't ip-delivered the value yet (or still persisting): park the
 		// 2B; it resumes when the 2A arrives (Task 5's v-vid check).
 		p, _ := a.store.Put(m.Inst)
@@ -1128,17 +906,10 @@ func (a *MAgent) onVersion(m proto.VersionReport) {
 		// floor; it catches up by snapshot when it returns.
 		a.versions.EvictStale(a.env.Now() - a.Cfg.GCEvict)
 	}
-	lo, hi, ok := a.versions.Advance(a.versions.Expect(len(a.Cfg.Learners)))
+	lo, hi, ok := a.gcAdvance()
 	if !ok {
 		return
 	}
-	// Quarantine-then-recycle: arrays trimmed by the PREVIOUS pass go
-	// back to the pool now, a full version round later. At trim time
-	// every learner has reported the instance applied, but a learner
-	// that hands batches to a downstream consumer (the Multi-Ring Paxos
-	// merge) may still be holding the array for a short while; one
-	// extra GC round (≥ GCInterval) retires that window before reuse.
-	a.quarantine = a.pool.Recycle(a.quarantine)
 	a.store.Trim(lo, hi, func(_ int64, e *logEntry) {
 		if e.vid != 0 {
 			a.storeByte -= e.bytes
@@ -1147,15 +918,7 @@ func (a *MAgent) onVersion(m proto.VersionReport) {
 			a.quarantine = append(a.quarantine, e.val.Vals)
 		}
 	})
-	if a.walOn() {
-		// The log trims in lockstep with the store, bounding replay work
-		// the same way garbage collection bounds acceptor memory.
-		a.Log.Trim(a.versions.Floor())
-	}
-	// The dedup table trims in concert with the GC floor: rows of clients
-	// that announced departure (Retire) and whose last activity fell below
-	// the floor are dropped; live clients are never forgotten.
-	a.dedup.Trim(a.versions.Floor())
+	a.gcTrimmed()
 }
 
 // StoreBytes reports the bytes of batch payload currently held by this
@@ -1300,89 +1063,14 @@ func (a *MAgent) process(inst int64, val core.Batch) {
 
 func (a *MAgent) finishInstance(inst int64, val core.Batch) {
 	a.backlog--
-	sup := a.dedupPass(inst, val)
-	if a.Trace != nil {
-		now := a.env.Now()
-		for i, v := range val.Vals {
-			if sup != nil && sup[i] {
-				continue
-			}
-			a.Trace.Note(now, inst, v)
-		}
-	}
+	sup := a.admit(inst, val, a.Trace)
 	if a.Confirm != nil {
 		a.Confirm(inst)
 	}
 	if a.DeliverBatch != nil {
 		a.DeliverBatch(inst, val)
 	}
-	for i, v := range val.Vals {
-		if sup != nil && sup[i] {
-			continue
-		}
-		a.DeliveredBytes += int64(v.Bytes)
-		a.DeliveredMsgs++
-		if v.Born != 0 {
-			lat := a.env.Now() - v.Born
-			a.LatencySum += lat
-			a.LatencyCount++
-			if a.Latencies != nil {
-				*a.Latencies = append(*a.Latencies, lat)
-			}
-		}
-		if a.Deliver != nil {
-			a.Deliver(inst, v)
-		}
-	}
-}
-
-// dedupPass runs the exactly-once check over a finished batch: the first
-// application of a stamped (client, seq) commits it to the dedup table
-// and acks the session; a sequence already in the table (a retry that won
-// a second consensus instance) is acked FROM the table and marked for
-// suppression — not traced, not delivered, not executed. The decision is
-// a pure function of the decided sequence and the table it built, so
-// every learner suppresses the same instances and delivered sequences
-// stay replica-identical. Returns nil, at the cost of one field compare
-// per value, when the batch carries no stamped values.
-func (a *MAgent) dedupPass(inst int64, val core.Batch) []bool {
-	stamped := false
-	for i := range val.Vals {
-		if val.Vals[i].Client != 0 {
-			stamped = true
-			break
-		}
-	}
-	if !stamped {
-		return nil
-	}
-	if a.dedup == nil {
-		a.dedup = core.NewDedupTable()
-	}
-	if cap(a.dedupSup) < len(val.Vals) {
-		a.dedupSup = make([]bool, len(val.Vals))
-	}
-	sup := a.dedupSup[:len(val.Vals)]
-	for i, v := range val.Vals {
-		sup[i] = false
-		if v.Client == 0 {
-			continue
-		}
-		if !a.dedup.Commit(v.Client, v.Seq, inst) {
-			sup[i] = true
-			a.DupSuppressed++
-		}
-		a.ackClient(v.Client, v.Seq)
-	}
-	return sup
-}
-
-// ackClient acknowledges (client, seq) to its session. Every learner acks
-// independently; sessions dedup.
-func (a *MAgent) ackClient(client, seq int64) {
-	m := proto.ClientAckPool.Get()
-	m.Client, m.Seq = client, seq
-	a.env.Send(proto.NodeID(client), m)
+	a.deliverValues(inst, val, sup)
 }
 
 // foldDedup folds a decided batch's stamped values into a NON-learner
@@ -1424,15 +1112,12 @@ func (a *MAgent) maybeNotifySlow() {
 
 // armLearnerTimers starts the learner's two persistent periodic timers,
 // once, at Start: the gap-recovery tick and — when GC is enabled — a
-// SINGLE version-report chain. Each chain re-arms only itself; the old
-// code re-armed the version chain from the retry tick as well, spawning a
-// fresh version chain every Retry, so version traffic grew linearly with
-// elapsed time (~50 chains per learner after one second at the default
-// Retry).
+// SINGLE version-report chain. Each chain re-arms only itself, so version
+// traffic stays constant over elapsed time.
 func (a *MAgent) armLearnerTimers() {
 	proto.AfterFree(a.env, a.Cfg.Retry, a.learnRetryFn)
 	if a.Cfg.GCInterval > 0 {
-		a.armVersionTimer()
+		proto.AfterFree(a.env, a.Cfg.GCInterval, a.versionFn)
 	}
 }
 
@@ -1441,13 +1126,9 @@ func (a *MAgent) learnerRetryTick() {
 	proto.AfterFree(a.env, a.Cfg.Retry, a.learnRetryFn)
 }
 
-func (a *MAgent) armVersionTimer() {
-	proto.AfterFree(a.env, a.Cfg.GCInterval, a.versionFn)
-}
-
 func (a *MAgent) versionTick() {
 	a.env.Send(a.preferential(), proto.VersionReport{From: a.env.ID(), Inst: a.nextDeliver - 1})
-	a.armVersionTimer()
+	proto.AfterFree(a.env, a.Cfg.GCInterval, a.versionFn)
 }
 
 // requestMissing asks for instances that block the delivery frontier (lost
@@ -1482,182 +1163,26 @@ func (a *MAgent) requestMissing() {
 	a.env.Send(to, mRetransmitReq{Insts: miss})
 }
 
-// NextDeliver returns the learner's delivery frontier.
-func (a *MAgent) NextDeliver() int64 { return a.nextDeliver }
-
 // Window returns the coordinator's current flow-control window.
 func (a *MAgent) Window() int { return a.window }
 
-// --- failover ---
+// --- failover (layout policy) ---
 
-// failoverTick is the periodic failure-detector beat: beacon the ring
-// successor, check the predecessor's silence window. Spares and evicted
-// ex-members keep ticking but stay passive while outside the ring.
-func (a *MAgent) failoverTick() {
-	if proto.EnvDown(a.env) || a.retired {
-		// A crashed process runs no failure detector: drop the monitor aim
-		// so the first post-restart tick re-observes a full silence window
-		// instead of acting on a timestamp from before the outage. A
-		// retired process must not beacon either — peers should treat the
-		// amnesiac as dead and reconfigure the ring around it.
-		a.fo.mon = false
-	} else if i := a.ringIndex(); i >= 0 && len(a.ring) > 1 {
-		n := len(a.ring)
-		a.env.Send(a.ring[(i+1)%n], mHeartbeat{Rnd: a.rnd})
-		if a.fo.needRing {
-			// Freshly restarted: hold the detector until a live member
-			// confirms the ring layout — suspicion computed from the stale
-			// pre-crash ring would churn a ring that already moved on.
-			a.fo.mon = false
-			a.requestRingState()
-		} else {
-			pred := a.ring[(i-1+n)%n]
-			if a.fo.observe(pred, a.env.Now(), a.Cfg.Failover.suspectAfter()) {
-				a.suspectPred(pred)
-			}
-		}
-	} else {
-		a.fo.mon = false
-	}
-	proto.AfterFree(a.env, a.Cfg.Failover.Heartbeat, a.fo.tickFn)
-}
+// ringAdopted implements layout: a ring change or ring-state reply re-aims
+// proposals and gap recovery (a Phase 1A does not).
+func (a *MAgent) ringAdopted(int64) { a.coord = a.coordOf(a.ring) }
 
-// requestRingState asks one ring member for the current layout, rotating
-// the target each tick so a dead first choice does not stall catch-up.
-func (a *MAgent) requestRingState() {
-	n := len(a.ring)
-	i := a.ringIndex()
-	if n <= 1 || i < 0 {
-		a.fo.needRing = false
-		return
-	}
-	off := 1 + a.fo.askIdx%(n-1)
-	a.fo.askIdx++
-	a.env.Send(a.ring[(i+off)%n], mRingStateReq{})
-}
-
-func (a *MAgent) onRingStateReq(from proto.NodeID) {
-	a.env.Send(from, mRingState{Rnd: a.rnd, Ring: a.ring})
-}
-
-// onRingState adopts the layout a live member reported after this node's
-// restart. Any reply clears needRing — even "your layout is current"
-// arms the detector — but only a layout at or above the local round is
-// adopted (a reply from a node staler than us must not rewind the ring).
-func (a *MAgent) onRingState(m mRingState) {
-	a.fo.needRing = false
-	if len(m.Ring) == 0 || m.Rnd < a.rnd {
-		return
-	}
-	if a.isCoord && m.Rnd > a.crnd {
-		a.standDown()
-	}
-	a.rnd = m.Rnd
-	a.ring = m.Ring
-	a.coord = m.Ring[len(m.Ring)-1]
-}
-
-// suspectPred declares the ring predecessor dead, lays out a ring of the
-// survivors (refilled from spares) and nominates the highest-id live
-// acceptor as coordinator. If a prior nomination produced no round
-// progress, foState.suspect already escalated past that nominee.
-func (a *MAgent) suspectPred(pred proto.NodeID) {
-	a.fo.suspect(pred, a.rnd)
-	newRing := a.electRing()
-	if len(newRing) == 0 {
-		return
-	}
-	nom := newRing[len(newRing)-1]
-	a.fo.note(nom, a.rnd, a.env.Now())
-	if nom == a.env.ID() {
-		a.TakeOver(newRing)
-		return
-	}
-	a.env.Send(nom, mTakeOver{Rnd: a.rnd, Ring: newRing})
-}
-
-// electRing deterministically lays out the post-failure ring: the current
-// ring's survivors in order, refilled from configured spares up to the
-// original size, with the highest-id survivor moved to the coordinator
-// (last) position. Every correct detector computes the same layout from
-// the same dead set, so concurrent suspicions converge on one nominee.
-func (a *MAgent) electRing() []proto.NodeID {
-	var survivors []proto.NodeID
-	for _, id := range a.ring {
-		if !a.fo.dead[id] {
-			survivors = append(survivors, id)
-		}
-	}
-	if len(survivors) == 0 {
-		return nil
-	}
-	nom := survivors[0]
-	for _, id := range survivors {
-		if id > nom {
-			nom = id
-		}
-	}
-	out := make([]proto.NodeID, 0, len(a.Cfg.Ring))
-	for _, id := range survivors {
-		if id != nom {
-			out = append(out, id)
-		}
-	}
-	for _, id := range a.Cfg.Spares {
-		if len(out)+1 >= len(a.Cfg.Ring) {
-			break
-		}
-		if !a.fo.dead[id] && !ringContains(a.ring, id) && !ringContains(out, id) {
-			out = append(out, id)
-		}
-	}
-	return append(out, nom)
-}
-
-func (a *MAgent) onTakeOver(m mTakeOver) {
-	if !a.Cfg.Failover.Enabled() || a.retired || len(m.Ring) == 0 || m.Ring[len(m.Ring)-1] != a.env.ID() {
-		return
-	}
-	if a.isCoord && sameRing(a.ring, m.Ring) {
-		return // already coordinating (or running Phase 1 over) this layout
-	}
-	if m.Rnd > a.rnd {
-		a.rnd = m.Rnd
-	}
-	a.TakeOver(m.Ring)
-}
-
-func (a *MAgent) onRingChange(m mRingChange) {
-	if len(m.Ring) == 0 || m.Rnd < a.rnd {
-		return
-	}
-	if a.isCoord && m.Rnd > a.crnd {
-		a.standDown()
-	}
-	a.rnd = m.Rnd
-	a.ring = m.Ring
-	a.coord = m.Ring[len(m.Ring)-1]
-	a.fo.needRing = false
-}
-
-// standDown retires a stale coordinator that observed a higher round.
-// Every acceptor fences its Phase 1A/2A messages against the new round,
-// so retrying its open instances could never succeed — it would only
-// re-announce old-round values to learners. Queued decision ids are
-// flushed first: decisions are final at any round, and their vids let
-// learners fence them against re-proposals.
-func (a *MAgent) standDown() {
-	if !a.isCoord {
-		return
-	}
+// dropCoordState implements layout. Queued decision ids are flushed first:
+// decisions are final at any round, and their vids let learners fence them
+// against re-proposals; retrying the open instances instead would only
+// re-announce old-round values to learners.
+func (a *MAgent) dropCoordState() {
 	if b := a.decQ; b != nil {
 		a.decQ = nil
 		a.env.Multicast(a.Cfg.Group, mDecision{Insts: b.Insts, Masks: b.Masks, VIDs: b.Vids, decBuf: a.armDecBuf(b)})
 	}
-	a.isCoord, a.phase1Done = false, false
 	a.open = core.InstLog[openInst]{}
 	a.pending = a.pending[:0]
 	a.pendingBytes = 0
 	a.timersArmed = false
-	a.fo.tookOver = false
 }

@@ -234,7 +234,7 @@ func TestMRingCoordinatorFailover(t *testing.T) {
 	for _, a := range d.agents {
 		a.Cfg.Ring = newRing
 	}
-	d.agents[1].TakeOver(newRing)
+	d.agents[1].takeOver(newRing, len(newRing))
 	d.l.Run(200 * time.Millisecond)
 	for i := 0; i < 30; i++ {
 		d.agents[1].Propose(core.Value{ID: core.ValueID(1000 + i), Bytes: 512})

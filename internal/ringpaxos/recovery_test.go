@@ -7,6 +7,8 @@ package ringpaxos
 // schedules are deterministic fault.Schedule events on the simulated LAN.
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -40,7 +42,7 @@ func deployMDurable(t *testing.T, dur Durability, evict time.Duration, fo Failov
 	logs := make(map[proto.NodeID]*wal.Log)
 	add := func(id proto.NodeID) {
 		a := &MAgent{Cfg: cfg}
-		if dur == DurWAL && ringContains(cfg.Ring, id) {
+		if dur == DurWAL && slices.Contains(cfg.Ring, id) {
 			logs[id] = &wal.Log{}
 			a.Log = logs[id]
 		}
@@ -283,64 +285,38 @@ func TestMRingSnapshotCatchUp(t *testing.T) {
 	}
 }
 
-// TestMRingRestartRingStateCatchUp is the failover follow-on regression
-// test: node 0 crashes and restarts AFTER the ring was reconfigured
-// around a permanently dead coordinator. Without the ring-state catch-up
-// the restarted node would aim its failure detector at the stale
-// pre-crash layout, suspect its long-dead ex-predecessor and nominate a
-// takeover of a ring that already moved on. With it, the node asks a
-// live member for the current layout before arming the detector, adopts
-// it, and the settled coordinator stays unchallenged.
-func TestMRingRestartRingStateCatchUp(t *testing.T) {
-	sched := fault.New(1).
-		CrashFor(100*time.Millisecond, 300*time.Millisecond, 0, fault.Lose).
-		Crash(150*time.Millisecond, 3, fault.Lose)
-	cfg := MConfig{Group: 1, Failover: testFailover}
-	for i := 0; i < 4; i++ {
-		cfg.Ring = append(cfg.Ring, proto.NodeID(i))
-	}
-	cfg.Learners = []proto.NodeID{100}
-	d := &mDeploy{
-		l:      lan.New(lan.DefaultConfig(), 1),
-		agents: make(map[proto.NodeID]*MAgent),
-		deliv:  make(map[proto.NodeID][]core.ValueID),
-		spec:   make(map[proto.NodeID][]core.ValueID),
-	}
-	d.learners = cfg.Learners
-	add := func(id proto.NodeID) {
-		a := &MAgent{Cfg: cfg}
-		a.Deliver = func(inst int64, v core.Value) {
-			d.deliv[id] = append(d.deliv[id], v.ID)
+// TestDurWALWithoutLogRetires pins the nil-log rule on both variants: a
+// process configured DurWAL but deployed without a Log has nothing to
+// replay after a Lose crash, so it must take the DurVolatile branch and
+// retire. Rejoining with full rights — for a coordinator, re-entering
+// Phase 1 — would let it promise and vote again having forgotten what it
+// promised. Each agent sits at its ring's coordinator position, the case
+// where the amnesiac would otherwise resume leading.
+func TestDurWALWithoutLogRetires(t *testing.T) {
+	m := &MAgent{Cfg: MConfig{Ring: []proto.NodeID{1, 0}, Group: 1, Durability: DurWAL}}
+	u := &UAgent{Cfg: UConfig{Ring: []proto.NodeID{0, 1, 2}, Durability: DurWAL}}
+	for _, tc := range []struct {
+		name  string
+		agent interface {
+			proto.Handler
+			proto.VolatileLoser
 		}
-		d.agents[id] = a
-		d.l.AddNode(id, a)
-		d.l.Subscribe(1, id)
-	}
-	for _, id := range cfg.Ring {
-		add(id)
-	}
-	add(100)
-	d.prop = d.agents[100]
-	d.l.InstallFaults(sched)
-	d.l.Start()
-	// Let the election settle while node 0 is still down, note the
-	// winner's round, then let node 0 restart and observe for a while.
-	d.l.Run(390 * time.Millisecond)
-	if got := coordinators(d.agents, 1, 2); len(got) != 1 || got[0] != 2 {
-		t.Fatalf("coordinators before restart: %v, want [2]", got)
-	}
-	settled := d.agents[2].crnd
-	d.l.Run(610 * time.Millisecond)
-	if got := coordinators(d.agents, 0, 1, 2); len(got) != 1 || got[0] != 2 {
-		t.Fatalf("coordinators after restart: %v, want [2]", got)
-	}
-	if d.agents[2].crnd != settled {
-		t.Fatalf("restarted node forced a re-election: round %d -> %d", settled, d.agents[2].crnd)
-	}
-	if got := d.agents[0].ring; !sameRing(got, d.agents[2].ring) {
-		t.Fatalf("restarted node's ring %v, want the reconfigured %v", got, d.agents[2].ring)
-	}
-	if d.agents[0].fo.needRing {
-		t.Fatal("ring-state catch-up never completed")
+		core *ringCore
+	}{{"mring", m, &m.ringCore}, {"uring", u, &u.ringCore}} {
+		t.Run(tc.name, func(t *testing.T) {
+			env := &fakeEnv{id: 0, rng: rand.New(rand.NewSource(1))}
+			tc.agent.Start(env)
+			if !tc.core.isCoord {
+				t.Fatal("agent did not start Phase 1 at its coordinator position")
+			}
+			env.sends = nil
+			tc.agent.LoseVolatile()
+			if !tc.core.retired {
+				t.Fatal("DurWAL without a Log did not retire after losing its state")
+			}
+			if tc.core.isCoord || len(env.sends) != 0 {
+				t.Fatalf("amnesiac re-entered Phase 1: isCoord=%v, %d messages sent", tc.core.isCoord, len(env.sends))
+			}
+		})
 	}
 }

@@ -1,7 +1,6 @@
 package ringpaxos
 
 import (
-	"sort"
 	"time"
 
 	"repro/internal/core"
@@ -41,7 +40,7 @@ type UConfig struct {
 	// forwarding it (§3.3.6), so a slow learner backpressures the ring.
 	ExecCost time.Duration
 	// GCInterval is the shared learner-version garbage collection period
-	// (§3.3.7, extracted from M-Ring Paxos): every GCInterval each learner
+	// (§3.3.7): every GCInterval each learner
 	// pipelines a proto.VersionReport around the ring; once every learner
 	// has reported, acceptors trim their vote logs up to the minimum
 	// reported instance. Zero resolves to DefaultGCInterval — GC is ON by
@@ -69,26 +68,9 @@ type UConfig struct {
 }
 
 func (c *UConfig) defaults() {
-	if c.Window == 0 {
-		c.Window = 64
-	}
-	if c.BatchBytes == 0 {
-		c.BatchBytes = 32 << 10
-	}
-	if c.BatchDelay == 0 {
-		c.BatchDelay = 500 * time.Microsecond
-	}
-	if c.Retry == 0 {
-		c.Retry = 20 * time.Millisecond
-	}
+	sharedDefaults(&c.Window, &c.BatchBytes, 32<<10, &c.BatchDelay, &c.Retry, &c.GCInterval)
 	if c.NumAcceptors == 0 {
 		c.NumAcceptors = len(c.Ring)
-	}
-	if c.GCInterval == 0 {
-		c.GCInterval = DefaultGCInterval
-	}
-	if c.GCInterval < 0 {
-		c.GCInterval = 0 // explicit off: no version timer is ever armed
 	}
 }
 
@@ -108,87 +90,47 @@ var (
 // UAgent is one U-Ring Paxos process.
 type UAgent struct {
 	Cfg UConfig
-	// Deliver is invoked on learners for every value in delivery order.
-	Deliver core.DeliverFunc
 	// Trace, if set, folds this learner's delivered command sequence into
 	// a delivery-equivalence digest (see core.DelivTrace). Pure
 	// observation: it sends nothing and consumes no simulated time.
 	Trace *core.DelivTrace
-	// Log is this process's write-ahead log, required when Cfg.Durability
-	// is DurWAL. The deployment owns it (the rig sets it before Start):
-	// it survives the agent's crash the way a disk survives a process.
-	Log *wal.Log
 
-	env proto.Env
+	// ringCore is the skeleton shared with M-Ring Paxos; the Deliver hook,
+	// the write-ahead Log and the delivery counters are its fields. Its ring
+	// holds every process, the first nacc of them the acceptor segment.
+	ringCore
 
 	// coordinator state
-	isCoord      bool
-	phase1Done   bool
-	crnd         int64
-	promises     map[proto.NodeID]uPhase1B
 	pending      core.ValueSlab
 	pendingBytes int
 	batchArmed   bool
 	batchFn      func()
 	next         int64
 	openCount    int
-	pool         core.BatchPool
 
 	// acceptor state
-	rnd   int64
 	votes core.InstLog[vote]
-	// retired marks a DurVolatile process that restarted after losing its
-	// acceptor state: it must never promise or vote again, and it drops
-	// client proposals addressed to a coordinatorship it cannot resume
-	// (see LoseVolatile). The learner role is unaffected.
-	retired bool
-
-	// ring layout state: the live ring and its acceptor-segment length,
-	// re-laid-out by failover reconfigurations. ringRnd dedupes circulating
-	// ring-change announcements; fo is the failure detector (inert unless
-	// Cfg.Failover is enabled).
-	ring    []proto.NodeID
-	nacc    int
+	// ringRnd dedupes circulating ring-change announcements.
 	ringRnd int64
-	fo      foState
 
-	// garbage-collection state (shared subsystem, §3.3.7): every ring
-	// process tracks learner versions — reports pipeline around the whole
-	// ring — and trims its vote log when the floor advances.
-	gc         core.VersionTracker
-	quarantine [][]core.Value // trimmed pooled arrays awaiting one more GC round
-	versionFn  func()
+	// Every ring process tracks learner versions (§3.3.7) — reports
+	// pipeline around the whole ring — and trims its vote log when the
+	// floor advances.
+	versionFn func()
 
 	// learner state
-	learned     core.InstLog[core.Batch]
-	nextDeliver int64
-	// dedup is the exactly-once layer's per-client last-applied-seq table
-	// (nil until the first stamped value, zero cost without client
-	// sessions); dedupSup is the per-batch suppression scratch.
-	dedup    *core.DedupTable
-	dedupSup []bool
-
-	// DeliveredBytes/DeliveredMsgs count application payload delivered at
-	// this learner.
-	DeliveredBytes int64
-	DeliveredMsgs  int64
-	LatencySum     time.Duration
-	LatencyCount   int64
-	Latencies      *[]time.Duration
-	// DupSuppressed counts stamped commands acked from the dedup table
-	// instead of re-executed.
-	DupSuppressed int64
+	learned core.InstLog[core.Batch]
 }
 
 var _ proto.Handler = (*UAgent)(nil)
 
 // Start implements proto.Handler.
 func (a *UAgent) Start(env proto.Env) {
-	a.env = env
 	a.Cfg.defaults()
-	a.ring = a.Cfg.Ring
-	a.nacc = a.Cfg.NumAcceptors
-	a.promises = make(map[proto.NodeID]uPhase1B)
+	a.start(env, a, ringParams{
+		learners: a.Cfg.Learners, retry: a.Cfg.Retry, failover: a.Cfg.Failover,
+		durability: a.Cfg.Durability, diskSync: a.Cfg.DiskSync,
+	}, a.Cfg.Ring, a.Cfg.NumAcceptors)
 	a.batchFn = func() { a.batchArmed = false; a.flush() }
 	a.versionFn = a.versionTick
 	if env.ID() == a.Cfg.Coordinator() {
@@ -198,28 +140,13 @@ func (a *UAgent) Start(env proto.Env) {
 		proto.AfterFree(a.env, a.Cfg.GCInterval, a.versionFn)
 	}
 	if a.Cfg.Failover.Enabled() && a.ringIndex() >= 0 {
-		a.fo.tickFn = a.failoverTick
-		proto.AfterFree(a.env, a.Cfg.Failover.Heartbeat, a.fo.tickFn)
+		a.armDetector()
 	}
-}
-
-func (a *UAgent) ringIndex() int {
-	for i, id := range a.ring {
-		if id == a.env.ID() {
-			return i
-		}
-	}
-	return -1
 }
 
 func (a *UAgent) succ() proto.NodeID {
 	i := a.ringIndex()
 	return a.ring[(i+1)%len(a.ring)]
-}
-
-func (a *UAgent) isAcceptor() bool {
-	i := a.ringIndex()
-	return i >= 0 && i < a.nacc
 }
 
 // lastAcceptor reports whether this process is the f-th acceptor after the
@@ -228,38 +155,15 @@ func (a *UAgent) lastAcceptor() bool {
 	return a.ringIndex() == a.nacc-1
 }
 
-// IsCoordinator reports whether this agent currently leads the ring with
-// a completed Phase 1 (failover-aware).
-func (a *UAgent) IsCoordinator() bool { return a.isCoord && a.phase1Done }
-
 // Coordinator returns this agent's current view of the ring coordinator
 // (the first ring position; re-laid-out by failover reconfigurations).
 func (a *UAgent) Coordinator() proto.NodeID { return a.ring[0] }
 
-// DedupSeq returns the learner's last applied sequence for a client (0
-// when unknown) — the dedup table's view, for tests and probes.
-func (a *UAgent) DedupSeq(client int64) int64 { return a.dedup.Seq(client) }
-
-func (a *UAgent) isLearner() bool {
-	for _, id := range a.Cfg.Learners {
-		if id == a.env.ID() {
-			return true
-		}
-	}
-	return false
-}
-
-func (a *UAgent) becomeCoordinator(minRound int64, ring []proto.NodeID, nacc int) {
-	a.isCoord = true
-	a.phase1Done = false
-	a.promises = make(map[proto.NodeID]uPhase1B)
+// sendPhase1A implements layout: the coordinator installs the layout at
+// once and sends the round to the acceptor segment.
+func (a *UAgent) sendPhase1A(ring []proto.NodeID, nacc int) {
 	a.ring, a.nacc = ring, nacc
-	r := (minRound << 10) | int64(a.env.ID())
-	if r <= a.crnd {
-		r = (((a.crnd >> 10) + 1) << 10) | int64(a.env.ID())
-	}
-	a.crnd = r
-	m := uPhase1A{Rnd: a.crnd}
+	m := phase1A{ringAt{Rnd: a.crnd}}
 	if a.fo.tookOver {
 		// Propose the reconfigured layout with the round: the surviving
 		// quorum abides by it when it promises.
@@ -268,11 +172,6 @@ func (a *UAgent) becomeCoordinator(minRound int64, ring []proto.NodeID, nacc int
 	for i := 0; i < nacc; i++ {
 		a.env.Send(ring[i], m)
 	}
-	a.env.After(a.Cfg.Retry, func() {
-		if a.isCoord && !a.phase1Done {
-			a.becomeCoordinator(a.crnd>>10, ring, nacc)
-		}
-	})
 }
 
 // Propose submits a value from this node; non-coordinators forward it along
@@ -289,11 +188,7 @@ func (a *UAgent) Propose(v core.Value) {
 
 // Receive implements proto.Handler.
 func (a *UAgent) Receive(from proto.NodeID, m proto.Message) {
-	// Any traffic from the monitored ring predecessor is a sign of life
-	// (one predictable branch when failover is disabled).
-	if a.fo.mon && from == a.fo.pred {
-		a.fo.last = a.env.Now()
-	}
+	a.heard(from)
 	switch msg := m.(type) {
 	case *MsgPropose:
 		if a.isCoord {
@@ -314,9 +209,9 @@ func (a *UAgent) Receive(from proto.NodeID, m proto.Message) {
 		} else {
 			a.env.Send(a.succ(), msg)
 		}
-	case uPhase1A:
+	case phase1A:
 		a.onPhase1A(from, msg)
-	case uPhase1B:
+	case phase1B:
 		a.onPhase1B(from, msg)
 	case *uPhase2:
 		a.onPhase2(msg)
@@ -324,102 +219,37 @@ func (a *UAgent) Receive(from proto.NodeID, m proto.Message) {
 		a.onDecision(msg)
 	case proto.VersionReport:
 		a.onVersionReport(msg)
-	case mHeartbeat:
-		// Pure liveness beacon; the prologue above already recorded it.
-	case mTakeOver:
-		a.onTakeOver(msg)
 	case uRingChange:
 		a.onRingChange(msg)
-	case mRingStateReq:
-		a.onRingStateReq(from)
-	case mRingState:
-		a.onRingState(msg)
+	default:
+		a.receiveShared(from, m)
 	}
 }
 
-// LoseVolatile implements proto.VolatileLoser: a crash that destroys
-// volatile state (fault.Lose) discards the staged client values awaiting
-// proposal, then applies the configured Durability. Under the default
-// DurModeled, votes and the learner frontier are retained (modeled
-// durable; U-Ring's reliable ring has no retransmission path, so losing
-// them would stall the ring forever — fault schedules for U-Ring use
-// freezes and partitions, which its TCP channels survive losslessly).
-// DurVolatile loses them honestly and retires the process from the
-// acceptor/coordinator roles — a crashed U-Ring coordinator then stalls
-// the ring for good unless failover reconfigures around it. DurWAL loses
-// them and replays the write-ahead log; a recovered coordinator re-enters
-// Phase 1 and the ring resumes.
-func (a *UAgent) LoseVolatile() {
+// loseState implements layout: an honest crash takes the vote log and the
+// coordinator's window accounting.
+func (a *UAgent) loseState(honest bool) {
 	a.pending.PopFront(a.pending.Len())
 	a.pendingBytes = 0
-	a.fo.reset()
-	switch a.Cfg.Durability {
-	case DurVolatile:
-		a.loseUState()
-		a.retired = true
-	case DurWAL:
-		a.loseUState()
-		a.replayWAL()
+	if !honest {
+		return
 	}
-	if a.Cfg.Failover.Enabled() && !a.retired {
-		// Learn the current ring layout from a live member before
-		// re-arming the detector (the layout may have changed during the
-		// outage; failoverTick holds the monitor off while needRing is set).
-		a.fo.needRing = true
-	}
-}
-
-// loseUState wipes everything a Lose crash destroys in a process with
-// honest volatile state: promises, votes, coordinator soft state and the
-// garbage-collection bookkeeping. Learner delivery state is retained in
-// every mode — it models the application's own durable state.
-func (a *UAgent) loseUState() {
-	a.rnd = 0
 	a.votes = core.InstLog[vote]{}
-	a.gc = core.VersionTracker{}
-	a.quarantine = nil
-	a.pool = core.BatchPool{}
-	a.isCoord, a.phase1Done = false, false
-	a.crnd = 0
-	a.promises = make(map[proto.NodeID]uPhase1B)
 	a.openCount = 0
 	a.next = 0
-	a.fo.tookOver = false
 }
 
-// replayWAL rebuilds acceptor state from the write-ahead log after
-// loseUState. A process that finds itself at its ring's coordinator
-// position re-enters Phase 1 one round above its highest logged promise:
-// it can prove every promise it ever made, so resuming coordinatorship
-// is safe — the recovery U-Ring Paxos needs, since a dead coordinator
-// otherwise stalls the whole ring.
-func (a *UAgent) replayWAL() {
-	a.Log.Replay(func(r wal.Record) {
-		switch r.Kind {
-		case wal.KindSnapshot:
-			a.gc.SetFloor(r.Inst)
-		case wal.KindPromise:
-			if r.Rnd > a.rnd {
-				a.rnd = r.Rnd
-			}
-		case wal.KindVote:
-			if r.Inst < a.gc.Floor() {
-				return
-			}
-			v, _ := a.votes.Put(r.Inst)
-			*v = vote{rnd: r.Rnd, vid: r.VID, val: r.Val}
-			if r.Inst >= a.next {
-				a.next = r.Inst + 1
-			}
-		}
-	})
-	if len(a.ring) > 0 && a.ring[0] == a.env.ID() {
-		a.becomeCoordinator((a.rnd>>10)+1, a.ring, a.nacc)
+// replayRecord implements layout (only votes are ever logged).
+func (a *UAgent) replayRecord(r wal.Record) {
+	if r.Kind != wal.KindVote {
+		return
+	}
+	v, _ := a.votes.Put(r.Inst)
+	*v = vote{rnd: r.Rnd, vid: r.VID, val: r.Val}
+	if r.Inst >= a.next {
+		a.next = r.Inst + 1
 	}
 }
-
-// walOn reports whether this agent appends to a write-ahead log.
-func (a *UAgent) walOn() bool { return a.Cfg.Durability == DurWAL && a.Log != nil }
 
 // --- coordinator ---
 
@@ -452,21 +282,19 @@ func (a *UAgent) startInstance(b core.Batch, pooled bool) {
 	inst := a.next
 	a.next++
 	a.openCount++
-	vid := core.ValueID(a.crnd<<32 | inst)
+	vid := a.freshVID(inst)
 	// The coordinator votes itself and sends the combined 2A/2B onward.
 	v, _ := a.votes.Put(inst)
 	*v = vote{rnd: a.crnd, vid: vid, val: b, pooled: pooled}
 	m := uPhase2Pool.Get()
 	m.Inst, m.Rnd, m.VID, m.Val = inst, a.crnd, vid, b
-	if a.walOn() {
-		// The coordinator's self-vote hits the log before the 2A/2B leaves.
-		a.Log.Append(a.env, wal.Record{Kind: wal.KindVote, Inst: inst, Rnd: a.crnd, VID: vid, Val: b},
-			func() { a.forwardPhase2(m) })
-	} else if a.Cfg.DiskSync {
-		a.env.DiskWrite(b.Size()+headerBytes, func() { a.forwardPhase2(m) })
-	} else {
+	if !a.syncVotes() {
 		a.forwardPhase2(m)
+		return
 	}
+	// The coordinator's self-vote is stable before the 2A/2B leaves.
+	a.persist(wal.Record{Kind: wal.KindVote, Inst: inst, Rnd: a.crnd, VID: vid, Val: b},
+		func() { a.forwardPhase2(m) })
 }
 
 func (a *UAgent) forwardPhase2(m *uPhase2) {
@@ -479,12 +307,12 @@ func (a *UAgent) forwardPhase2(m *uPhase2) {
 	a.env.Send(a.succ(), m)
 }
 
-func (a *UAgent) onPhase1A(from proto.NodeID, m uPhase1A) {
+func (a *UAgent) onPhase1A(from proto.NodeID, m phase1A) {
 	if m.Rnd <= a.rnd {
 		return
 	}
 	if a.isCoord && m.Rnd > a.crnd {
-		a.standDownU()
+		a.standDown()
 	}
 	if len(m.Ring) > 0 {
 		a.ring, a.nacc = m.Ring, m.NAcc // abide by the proposed layout
@@ -496,54 +324,34 @@ func (a *UAgent) onPhase1A(from proto.NodeID, m uPhase1A) {
 		return
 	}
 	a.rnd = m.Rnd
-	reply := uPhase1B{Rnd: a.rnd, Votes: make(map[int64]vote), Floor: a.gc.Floor()}
+	reply := phase1B{Rnd: a.rnd, Votes: make(map[int64]vote), Floor: a.versions.Floor()}
 	a.votes.Range(func(inst int64, v *vote) bool {
 		reply.Votes[inst] = *v
 		return true
 	})
-	if a.walOn() {
-		// The promise is binding only once durable: persist it before the
-		// 1B leaves (Phase 1 is rare, so the closure is off the hot path).
-		to := from
-		a.Log.Append(a.env, wal.Record{Kind: wal.KindPromise, Rnd: a.rnd},
-			func() { a.env.Send(to, reply) })
-		return
-	}
-	a.env.Send(from, reply)
+	a.promise(from, reply)
 }
 
-func (a *UAgent) onPhase1B(from proto.NodeID, m uPhase1B) {
-	if !a.isCoord || m.Rnd != a.crnd || a.phase1Done {
-		return
-	}
-	a.promises[from] = m
+func (a *UAgent) onPhase1B(from proto.NodeID, m phase1B) {
 	// The quorum is a majority of the ORIGINAL 2f+1 acceptors even after a
 	// reconfiguration shrank the live segment: any value chosen in an
 	// earlier round reached a majority of the original set, so only an
 	// original-majority intersection is guaranteed to surface it.
-	if len(a.promises) < a.Cfg.NumAcceptors/2+1 {
+	if !a.promised(from, m, a.Cfg.NumAcceptors/2+1) {
 		return
 	}
-	a.phase1Done = true
 	// Adopt the quorum's highest trim floor first: the floor guard below
 	// then filters votes for instances some acceptor already trimmed.
 	for _, p := range a.promises {
-		a.gc.SetFloor(p.Floor)
+		a.versions.SetFloor(p.Floor)
 	}
-	if f := a.gc.Floor(); f > a.next {
+	if f := a.versions.Floor(); f > a.next {
 		// Resume numbering above the trimmed prefix: a fresh instance
 		// below the floor would ghost in our own vote ring and stall
 		// mid-ring at any acceptor that already trimmed it.
 		a.next = f
 	}
-	adopt := make(map[int64]vote)
-	for _, p := range a.promises {
-		for inst, v := range p.Votes {
-			if cur, ok := adopt[inst]; !ok || v.rnd > cur.rnd {
-				adopt[inst] = v
-			}
-		}
-	}
+	adopted := a.adoptVotes(nil)
 	if a.fo.tookOver && len(a.ring) > 1 {
 		// Circulate the reconfigured layout once around the new ring BEFORE
 		// re-proposing the adopted instances: their Phase 2s (and the
@@ -554,15 +362,10 @@ func (a *UAgent) onPhase1B(from proto.NodeID, m uPhase1B) {
 		// exhausted — with more adopted instances than Window, it could
 		// never open an instance again.
 		a.ringRnd = a.crnd
-		a.env.Send(a.succ(), uRingChange{Rnd: a.crnd, Ring: a.ring, NAcc: a.nacc})
+		a.env.Send(a.succ(), uRingChange{ringAt: ringAt{a.crnd, a.ring, a.nacc}})
 	}
-	insts := make([]int64, 0, len(adopt))
-	for inst := range adopt {
-		insts = append(insts, inst)
-	}
-	sort.Slice(insts, func(i, j int) bool { return insts[i] < insts[j] })
-	for _, inst := range insts {
-		if inst < a.gc.Floor() {
+	for _, ad := range adopted {
+		if ad.inst < a.versions.Floor() {
 			// Globally applied and trimmed: acceptors that trimmed the
 			// instance drop its Phase 2 at the floor guard, so re-opening
 			// it could never complete its ring pass. Instances this node
@@ -571,21 +374,14 @@ func (a *UAgent) onPhase1B(from proto.NodeID, m uPhase1B) {
 			// (deliverLocal) discards the duplicate.
 			continue
 		}
-		if inst >= a.next {
-			a.next = inst + 1
+		if ad.inst >= a.next {
+			a.next = ad.inst + 1
 		}
 		a.openCount++
-		av := adopt[inst]
-		// Keep the adopted vote's value id: consensus is on value ids, so
-		// a possibly-chosen value must be re-proposed as the SAME id.
-		vid := av.vid
-		if vid == 0 {
-			vid = core.ValueID(a.crnd<<32 | inst)
-		}
-		v, _ := a.votes.Put(inst)
-		*v = vote{rnd: a.crnd, vid: vid, val: av.val}
+		v, _ := a.votes.Put(ad.inst)
+		*v = vote{rnd: a.crnd, vid: ad.vid, val: ad.val}
 		m := uPhase2Pool.Get()
-		m.Inst, m.Rnd, m.VID, m.Val = inst, a.crnd, vid, av.val
+		m.Inst, m.Rnd, m.VID, m.Val = ad.inst, a.crnd, ad.vid, ad.val
 		a.forwardPhase2(m)
 	}
 	a.flush()
@@ -605,7 +401,7 @@ func (a *UAgent) onPhase2(m *uPhase2) {
 		uPhase2Pool.Put(m)
 		return
 	}
-	if m.Inst < a.gc.Floor() {
+	if m.Inst < a.versions.Floor() {
 		// Straggler for a trimmed (globally applied) instance: re-creating
 		// its vote below the GC floor would leave a permanent ghost in the
 		// instance ring, since garbage collection never looks below the
@@ -616,16 +412,13 @@ func (a *UAgent) onPhase2(m *uPhase2) {
 	a.rnd = m.Rnd
 	v, _ := a.votes.Put(m.Inst)
 	*v = vote{rnd: m.Rnd, vid: m.VID, val: m.Val}
-	if a.walOn() {
-		// Votes persist sequentially along the ring (§3.5.5), with the
-		// record retained for crash replay.
-		a.Log.Append(a.env, wal.Record{Kind: wal.KindVote, Inst: m.Inst, Rnd: m.Rnd, VID: m.VID, Val: m.Val},
-			func() { a.phase2Proceed(m) })
-	} else if a.Cfg.DiskSync {
-		a.env.DiskWrite(m.Val.Size()+headerBytes, func() { a.phase2Proceed(m) })
-	} else {
+	if !a.syncVotes() {
 		a.phase2Proceed(m)
+		return
 	}
+	// Votes persist sequentially along the ring (§3.5.5).
+	a.persist(wal.Record{Kind: wal.KindVote, Inst: m.Inst, Rnd: m.Rnd, VID: m.VID, Val: m.Val},
+		func() { a.phase2Proceed(m) })
 }
 
 func (a *UAgent) phase2Proceed(m *uPhase2) {
@@ -741,73 +534,7 @@ func (a *UAgent) drain() {
 }
 
 func (a *UAgent) finishBatch(inst int64, b core.Batch) {
-	sup := a.dedupPass(inst, b)
-	if a.Trace != nil {
-		now := a.env.Now()
-		for i, v := range b.Vals {
-			if sup != nil && sup[i] {
-				continue
-			}
-			a.Trace.Note(now, inst, v)
-		}
-	}
-	for i, v := range b.Vals {
-		if sup != nil && sup[i] {
-			continue
-		}
-		a.DeliveredBytes += int64(v.Bytes)
-		a.DeliveredMsgs++
-		if v.Born != 0 {
-			lat := a.env.Now() - v.Born
-			a.LatencySum += lat
-			a.LatencyCount++
-			if a.Latencies != nil {
-				*a.Latencies = append(*a.Latencies, lat)
-			}
-		}
-		if a.Deliver != nil {
-			a.Deliver(inst, v)
-		}
-	}
-}
-
-// dedupPass mirrors the M-Ring learner's exactly-once check (see
-// MAgent.dedupPass): first applications commit to the table and ack the
-// session, duplicates are acked from the table and suppressed before
-// tracing/delivery. Nil — at one compare per value — for unstamped
-// batches.
-func (a *UAgent) dedupPass(inst int64, b core.Batch) []bool {
-	stamped := false
-	for i := range b.Vals {
-		if b.Vals[i].Client != 0 {
-			stamped = true
-			break
-		}
-	}
-	if !stamped {
-		return nil
-	}
-	if a.dedup == nil {
-		a.dedup = core.NewDedupTable()
-	}
-	if cap(a.dedupSup) < len(b.Vals) {
-		a.dedupSup = make([]bool, len(b.Vals))
-	}
-	sup := a.dedupSup[:len(b.Vals)]
-	for i, v := range b.Vals {
-		sup[i] = false
-		if v.Client == 0 {
-			continue
-		}
-		if !a.dedup.Commit(v.Client, v.Seq, inst) {
-			sup[i] = true
-			a.DupSuppressed++
-		}
-		m := proto.ClientAckPool.Get()
-		m.Client, m.Seq = v.Client, v.Seq
-		a.env.Send(proto.NodeID(v.Client), m)
-	}
-	return sup
+	a.deliverValues(inst, b, a.admit(inst, b, a.Trace))
 }
 
 // --- garbage collection (shared subsystem, §3.3.7) ---
@@ -818,7 +545,7 @@ func (a *UAgent) dedupPass(inst int64, b core.Batch) []bool {
 // learner's version without any extra fan-out.
 func (a *UAgent) versionTick() {
 	v := a.nextDeliver - 1
-	a.gc.Report(int64(a.env.ID()), v)
+	a.versions.Report(int64(a.env.ID()), v)
 	a.trimLogs()
 	if len(a.ring) > 1 {
 		a.env.Send(a.succ(), proto.VersionReport{From: a.env.ID(), Inst: v})
@@ -829,7 +556,7 @@ func (a *UAgent) versionTick() {
 // onVersionReport records a circulating report and forwards it until it
 // has completed one revolution (the originator recorded itself at send).
 func (a *UAgent) onVersionReport(m proto.VersionReport) {
-	a.gc.Report(int64(m.From), m.Inst)
+	a.versions.Report(int64(m.From), m.Inst)
 	a.trimLogs()
 	m.Hops++
 	if m.Hops < len(a.ring)-1 {
@@ -839,207 +566,44 @@ func (a *UAgent) onVersionReport(m proto.VersionReport) {
 
 // trimLogs drops vote-log entries for globally applied instances once
 // every learner has reported. Arrays owned by the coordinator's batch pool
-// are quarantined for one GC round before reuse, exactly like M-Ring
-// Paxos: a learner's deferred ExecCost completion may still be reading a
-// batch it already counted as applied.
+// are quarantined for one GC round before reuse (see gcAdvance).
 func (a *UAgent) trimLogs() {
-	lo, hi, ok := a.gc.Advance(len(a.Cfg.Learners))
+	lo, hi, ok := a.gcAdvance()
 	if !ok {
 		return
 	}
-	a.quarantine = a.pool.Recycle(a.quarantine)
 	a.votes.Trim(lo, hi, func(_ int64, v *vote) {
 		if v.pooled {
 			a.quarantine = append(a.quarantine, v.val.Vals)
 		}
 	})
-	if a.walOn() {
-		// The log trims in lockstep with the vote log, bounding replay.
-		a.Log.Trim(a.gc.Floor())
-	}
-	// The dedup table trims in concert with the GC floor (retired clients
-	// only; live clients are never forgotten).
-	a.dedup.Trim(a.gc.Floor())
+	a.gcTrimmed()
 }
 
-// --- failover ---
+// --- failover (layout policy) ---
 
-// failoverTick is the periodic failure-detector beat: beacon the ring
-// successor, check the predecessor's silence window. Every ring member
-// participates — U-Ring has no multicast group, so a learner segment
-// member may be the one that detects a dead coordinator's silence.
-func (a *UAgent) failoverTick() {
-	if proto.EnvDown(a.env) || a.retired {
-		// A crashed process runs no failure detector: drop the monitor aim
-		// so the first post-restart tick re-observes a full silence window
-		// instead of acting on a timestamp from before the outage. A
-		// retired process must not beacon either — peers should treat the
-		// amnesiac as dead and reconfigure the ring around it.
-		a.fo.mon = false
-	} else if i := a.ringIndex(); i >= 0 && len(a.ring) > 1 {
-		n := len(a.ring)
-		a.env.Send(a.ring[(i+1)%n], mHeartbeat{Rnd: a.rnd})
-		if a.fo.needRing {
-			// Freshly restarted: hold the detector until a live member
-			// confirms the ring layout — suspicion computed from the stale
-			// pre-crash ring would churn a ring that already moved on.
-			a.fo.mon = false
-			a.requestRingState()
-		} else {
-			pred := a.ring[(i-1+n)%n]
-			if a.fo.observe(pred, a.env.Now(), a.Cfg.Failover.suspectAfter()) {
-				a.suspectPred(pred)
-			}
-		}
-	} else {
-		a.fo.mon = false
-	}
-	proto.AfterFree(a.env, a.Cfg.Failover.Heartbeat, a.fo.tickFn)
-}
-
-// requestRingState asks one ring member for the current layout, rotating
-// the target each tick so a dead first choice does not stall catch-up.
-func (a *UAgent) requestRingState() {
-	n := len(a.ring)
-	i := a.ringIndex()
-	if n <= 1 || i < 0 {
-		a.fo.needRing = false
-		return
-	}
-	off := 1 + a.fo.askIdx%(n-1)
-	a.fo.askIdx++
-	a.env.Send(a.ring[(i+off)%n], mRingStateReq{})
-}
-
-func (a *UAgent) onRingStateReq(from proto.NodeID) {
-	a.env.Send(from, mRingState{Rnd: a.rnd, Ring: a.ring, NAcc: a.nacc})
-}
-
-// onRingState adopts the layout a live member reported after this node's
-// restart; see the MAgent counterpart.
-func (a *UAgent) onRingState(m mRingState) {
-	a.fo.needRing = false
-	if len(m.Ring) == 0 || m.Rnd < a.rnd {
-		return
-	}
-	if a.isCoord && m.Rnd > a.crnd {
-		a.standDownU()
-	}
-	a.rnd = m.Rnd
-	if m.Rnd > a.ringRnd {
-		a.ringRnd = m.Rnd
-	}
-	a.ring, a.nacc = m.Ring, m.NAcc
-}
-
-// suspectPred declares the ring predecessor dead and nominates the
-// highest-id surviving acceptor as coordinator over the re-laid-out ring.
-func (a *UAgent) suspectPred(pred proto.NodeID) {
-	a.fo.suspect(pred, a.rnd)
-	newRing, nacc := a.electRing()
-	if len(newRing) == 0 {
-		return
-	}
-	nom := newRing[0]
-	a.fo.note(nom, a.rnd, a.env.Now())
-	if nom == a.env.ID() {
-		a.takeOver(newRing, nacc)
-		return
-	}
-	a.env.Send(nom, mTakeOver{Rnd: a.rnd, Ring: newRing, NAcc: nacc})
-}
-
-// electRing lays out the post-failure ring: the highest-id surviving
-// acceptor moves to the coordinator (first) position, the other surviving
-// acceptors keep the segment consecutive behind it, non-acceptor members
-// follow in order. Deterministic in the dead set, so concurrent
-// suspicions converge on one nominee.
-func (a *UAgent) electRing() ([]proto.NodeID, int) {
-	var accs, rest []proto.NodeID
-	for i, id := range a.ring {
-		if a.fo.dead[id] {
-			continue
-		}
-		if i < a.nacc {
-			accs = append(accs, id)
-		} else {
-			rest = append(rest, id)
-		}
-	}
-	if len(accs) == 0 {
-		return nil, 0
-	}
-	nom := accs[0]
-	for _, id := range accs {
-		if id > nom {
-			nom = id
-		}
-	}
-	out := make([]proto.NodeID, 0, len(accs)+len(rest))
-	out = append(out, nom)
-	for _, id := range accs {
-		if id != nom {
-			out = append(out, id)
-		}
-	}
-	out = append(out, rest...)
-	return out, len(accs)
-}
-
-func (a *UAgent) takeOver(ring []proto.NodeID, nacc int) {
-	a.fo.tookOver = true
-	a.becomeCoordinator((a.rnd>>10)+1, ring, nacc)
-}
-
-func (a *UAgent) onTakeOver(m mTakeOver) {
-	if !a.Cfg.Failover.Enabled() || a.retired || len(m.Ring) == 0 || m.Ring[0] != a.env.ID() {
-		return
-	}
-	if a.isCoord && sameRing(a.ring, m.Ring) {
-		return // already coordinating (or running Phase 1 over) this layout
-	}
-	if m.Rnd > a.rnd {
-		a.rnd = m.Rnd
-	}
-	a.takeOver(m.Ring, m.NAcc)
-}
+// ringAdopted implements layout: a circulating announcement of the layout
+// a live member already reported is a duplicate.
+func (a *UAgent) ringAdopted(rnd int64) { a.ringRnd = max(a.ringRnd, rnd) }
 
 func (a *UAgent) onRingChange(m uRingChange) {
 	if len(m.Ring) == 0 || m.Rnd <= a.ringRnd {
 		return
 	}
 	a.ringRnd = m.Rnd
-	if a.isCoord && m.Rnd > a.crnd {
-		a.standDownU()
-	}
-	if m.Rnd > a.rnd {
-		a.rnd = m.Rnd // round progress signal for the escalation check
-	}
-	a.ring, a.nacc = m.Ring, m.NAcc
-	a.fo.needRing = false
+	a.adoptRing(m.ringAt)
 	m.Hops++
 	if m.Hops < len(m.Ring)-1 {
 		a.env.Send(a.succ(), m)
 	}
 }
 
-// standDownU retires a stale coordinator that observed a higher round:
-// acceptors fence its Phase 2 messages, so its open instances and staged
-// values can never complete — the new coordinator re-proposes anything a
-// quorum saw, and clients re-submit the rest.
-func (a *UAgent) standDownU() {
-	if !a.isCoord {
-		return
-	}
-	a.isCoord, a.phase1Done = false, false
+// dropCoordState implements layout.
+func (a *UAgent) dropCoordState() {
 	a.pending.PopFront(a.pending.Len())
 	a.pendingBytes = 0
 	a.openCount = 0
-	a.fo.tookOver = false
 }
-
-// NextDeliver returns the learner's delivery frontier.
-func (a *UAgent) NextDeliver() int64 { return a.nextDeliver }
 
 // LiveLogLen reports how many per-instance records this agent currently
 // retains (acceptor vote log plus learner reorder buffer). Soak workloads

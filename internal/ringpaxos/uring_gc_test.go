@@ -128,8 +128,8 @@ func TestURingQuiescentFailoverResumesAboveFloor(t *testing.T) {
 		GCInterval:   50 * time.Millisecond,
 	}}
 	a.Start(env) // node 0 is the coordinator; Phase 1 starts immediately
-	a.onPhase1B(1, uPhase1B{Rnd: a.crnd, Floor: 7, Votes: map[int64]vote{}})
-	a.onPhase1B(2, uPhase1B{Rnd: a.crnd, Floor: 7, Votes: map[int64]vote{}})
+	a.onPhase1B(1, phase1B{Rnd: a.crnd, Floor: 7, Votes: map[int64]vote{}})
+	a.onPhase1B(2, phase1B{Rnd: a.crnd, Floor: 7, Votes: map[int64]vote{}})
 	if !a.phase1Done {
 		t.Fatal("phase 1 incomplete with a quorum of promises")
 	}
