@@ -9,16 +9,15 @@
 //	repro -all -jobs 1           force the sequential path
 //	repro -all -json             machine-readable per-experiment summary
 //	repro -update-golden         re-pin the golden hashes (output + delivery + safety)
-//	repro -verify-golden         check every experiment's output hash pin
-//	repro -verify-deliv          check every experiment's delivery-sequence pin
-//	repro -verify-safety         check the fault experiments' safety-verdict pins
+//	repro -verify                check every golden layer an experiment has:
+//	                             output hash, delivery sequence, safety verdict
+//	repro -verify -exp fig3.2    the same for one experiment
 //	repro -allocs fig4.3         alloc-profile experiments sequentially
-//	repro -check-allocs ci/budgets.json  enforce allocation/heap ceilings
+//	repro -check-allocs ci/budgets.json  enforce every CI ceiling
 //
-// The budget files under ci/ gate different nondeterministic dimensions:
-// budgets.json (figure mallocs), soak-budgets.json (heap + live-log
-// ceilings), recovery-budgets.json (WAL bytes + worst recovery gap) and
-// client-budgets.json (exactly-once session retries + retry wire bytes).
+// ci/budgets.json carries every ceiling in one file: figure mallocs, soak
+// heap + live-log ceilings, recovery WAL bytes + worst recovery gap, and
+// exactly-once session retries + retry wire bytes.
 //
 // Experiment text goes to stdout in registry order (byte-identical for any
 // -jobs value); per-experiment wall-clock and the run summary go to stderr
@@ -92,9 +91,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	par := fs.Int("par", 1, "logical processes per experiment (conservative-lookahead PDES; results are byte-identical to -par 1)")
 	jsonOut := fs.Bool("json", false, "with -all: emit a JSON run summary on stdout instead of experiment text")
 	updateGolden := fs.Bool("update-golden", false, "regenerate the golden hashes (output, delivery AND safety) for all deterministic experiments")
-	verifyGolden := fs.Bool("verify-golden", false, "run all deterministic experiments and compare against the golden output hashes")
-	verifyDeliv := fs.Bool("verify-deliv", false, "run all deterministic experiments and compare against the delivery-sequence pins (combines with -verify-golden)")
-	verifySafety := fs.Bool("verify-safety", false, "run all deterministic experiments and compare against the safety-verdict pins (combines with the other verify flags)")
+	verify := fs.Bool("verify", false, "run all deterministic experiments (or -exp) and compare against every golden layer: output hash, delivery sequence, safety verdict")
 	goldenDir := fs.String("golden-dir", bench.DefaultGoldenDir, "golden hash directory (relative to the repository root)")
 	allocs := fs.String("allocs", "", "comma-separated experiment ids to alloc-profile sequentially (JSON on stdout)")
 	checkAllocs := fs.String("check-allocs", "", "budget file (e.g. ci/budgets.json): alloc-profile each budgeted experiment and fail on any exceeded ceiling")
@@ -117,7 +114,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return runAllocs(stdout, stderr, *allocs)
 	case *list:
 		return runList(stdout, stderr, *jsonOut)
-	case *updateGolden, *verifyGolden, *verifyDeliv, *verifySafety:
+	case *updateGolden, *verify:
 		exps := bench.GoldenExperiments()
 		if *exp != "" {
 			// Re-pin or check a single experiment after a targeted change.
@@ -132,7 +129,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 			exps = []bench.Experiment{e}
 		}
-		return goldenRun(stdout, stderr, bench.ResolveGoldenDir(*goldenDir), *jobs, *updateGolden, *verifyGolden, *verifyDeliv, *verifySafety, exps)
+		return goldenRun(stdout, stderr, bench.ResolveGoldenDir(*goldenDir), *jobs, *updateGolden, exps)
 	case *all:
 		return runAll(stdout, stderr, *jobs, *jsonOut)
 	case *exp != "":
@@ -326,11 +323,9 @@ func runList(stdout, stderr io.Writer, jsonOut bool) int {
 }
 
 // goldenRun regenerates (update=true) or verifies the golden hashes for
-// the given experiments. verifyOut checks the output-hash layer,
-// verifyDeliv the delivery-sequence layer, verifySafety the
-// safety-verdict layer; updates pin every layer an experiment produced,
-// from the same simulation pass.
-func goldenRun(stdout, stderr io.Writer, dir string, jobs int, update, verifyOut, verifyDeliv, verifySafety bool, exps []bench.Experiment) int {
+// the given experiments, on every layer an experiment produced a digest
+// for, from one simulation pass.
+func goldenRun(stdout, stderr io.Writer, dir string, jobs int, update bool, exps []bench.Experiment) int {
 	start := time.Now()
 	results := bench.Run(exps, bench.Options{Jobs: jobs, OnResult: func(r bench.Result) {
 		if r.Err != nil {
@@ -344,44 +339,29 @@ func goldenRun(stdout, stderr io.Writer, dir string, jobs int, update, verifyOut
 	if sum.Failed > 0 {
 		return 1
 	}
-	if update {
-		safetyPins := 0
+	var bad, did []string
+	for _, l := range bench.GoldenLayers {
+		if !update {
+			bad = append(bad, l.Verify(dir, results)...)
+			did = append(did, l.Name)
+			continue
+		}
+		pins := 0
 		for _, r := range results {
-			if err := bench.WriteGolden(dir, r.ID, r.SHA256); err != nil {
+			wrote, err := l.Pin(dir, r)
+			if err != nil {
 				fmt.Fprintln(stderr, err)
 				return 1
 			}
-			if err := bench.WriteDelivGolden(dir, r.ID, r.DelivSHA256); err != nil {
-				fmt.Fprintln(stderr, err)
-				return 1
-			}
-			// Only fault experiments register a safety oracle; everything
-			// else has no safety digest and gets no safety pin.
-			if r.SafetySHA256 != "" {
-				if err := bench.WriteSafetyGolden(dir, r.ID, r.SafetySHA256); err != nil {
-					fmt.Fprintln(stderr, err)
-					return 1
-				}
-				safetyPins++
+			if wrote {
+				pins++
 			}
 		}
-		fmt.Fprintf(stdout, "pinned %d golden hashes (output + delivery, %d with safety) under %s\n",
-			len(results), safetyPins, dir)
+		did = append(did, fmt.Sprintf("%d %s", pins, l.Name))
+	}
+	if update {
+		fmt.Fprintf(stdout, "pinned %d experiments under %s: %s pins\n", len(results), dir, strings.Join(did, ", "))
 		return 0
-	}
-	var bad []string
-	var gates []string
-	if verifyOut {
-		bad = append(bad, bench.VerifyGolden(dir, results)...)
-		gates = append(gates, "output")
-	}
-	if verifyDeliv {
-		bad = append(bad, bench.VerifyDelivGolden(dir, results)...)
-		gates = append(gates, "delivery")
-	}
-	if verifySafety {
-		bad = append(bad, bench.VerifySafetyGolden(dir, results)...)
-		gates = append(gates, "safety")
 	}
 	if len(bad) > 0 {
 		for _, b := range bad {
@@ -390,6 +370,6 @@ func goldenRun(stdout, stderr io.Writer, dir string, jobs int, update, verifyOut
 		return 1
 	}
 	fmt.Fprintf(stdout, "all %d experiments match their golden hashes (%s)\n",
-		len(results), strings.Join(gates, " + "))
+		len(results), strings.Join(did, " + "))
 	return 0
 }

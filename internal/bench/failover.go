@@ -12,21 +12,12 @@ package bench
 // seeds and -par levels like the rest of the fault family.
 
 import (
-	"fmt"
-	"io"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/fault"
-	"repro/internal/lan"
 	"repro/internal/proto"
 	"repro/internal/ringpaxos"
 )
-
-func init() {
-	register(Experiment{ID: "fault.failover.mring", Title: "M-Ring Paxos permanent coordinator kill: detector election + spare-refilled ring vs no-failover control", Traced: runFailoverMRing})
-	register(Experiment{ID: "fault.failover.uring", Title: "U-Ring Paxos permanent coordinator kill: detector election + shrunk acceptor segment vs no-failover control", Traced: runFailoverURing})
-}
 
 // failoverDetector is the detector tuning both failover experiments use:
 // suspicion plus Phase 1 completes in a few tens of simulated
@@ -38,34 +29,54 @@ var failoverDetector = ringpaxos.Failover{Heartbeat: 5 * time.Millisecond, Suspe
 // so the control run always trips it and the failover run never does.
 const failoverLiveWindow = 120 * time.Millisecond
 
-// failoverVariants names the two runs per seed, in run order.
-var failoverVariants = []string{"none", "failover"}
+var failoverCols = []column{colEvents, colMinPos, colMaxPos, colLost, colStalled, colConsistent}
 
-// runFailoverFamily drives one protocol through every seed's permanent-
-// kill schedule twice (control, then failover) and prints the per-run
-// report. Positions are seed-dependent (output golden, per seed); the
-// verdicts — including the stalled flag — are not (safety golden).
-func runFailoverFamily(w io.Writer, rec *DelivRecorder, title string, seeds []int64,
-	sched func(seed int64) *fault.Schedule,
-	build func(dep *DelivDeployment, orc *core.Oracle, s *fault.Schedule, failover bool) *faultRig) {
-	t := newTable(title, "seed", "variant", "events", "minpos", "maxpos", "lost", "stalled", "consistent")
-	for _, seed := range seeds {
-		for vi, variant := range failoverVariants {
-			orc := rec.Oracle()
-			orc.SetLivenessWindow(failoverLiveWindow)
-			s := sched(seed)
-			rig := build(rec.Deployment(), orc, s, vi == 1)
-			rig.l.Run(faultDur)
-			orc.Seal(faultDur)
-			t.row(fmt.Sprint(seed), variant, s.Len(), orc.MinPos(), orc.MaxPos(), rig.lost(),
-				fmt.Sprint(orc.Stalled()), fmt.Sprint(orc.Consistent()))
-			t.note("seed %d %s: %s", seed, variant, orc.Verdict())
-			if d := orc.FirstDivergence(); d != "" {
-				t.note("seed %d %s FIRST DIVERGENCE: %s", seed, variant, d)
-			}
-		}
+var failoverVariants = []variant{
+	{name: "none", live: failoverLiveWindow},
+	{name: "failover", live: failoverLiveWindow, edit: withDetector},
+}
+
+var failoverFamilies = []family{
+	{
+		id:     "fault.failover.mring",
+		title:  "M-Ring Paxos permanent coordinator kill: detector election + spare-refilled ring vs no-failover control",
+		head:   "fault.failover.mring — M-Ring Paxos (ring 3 + spare), 20 Mbps of 1 KB values, permanent coordinator kill: control vs detector failover",
+		deploy: failoverMRing, sched: mringFailoverSchedule, variants: failoverVariants, cols: failoverCols,
+	},
+	{
+		id:     "fault.failover.uring",
+		title:  "U-Ring Paxos permanent coordinator kill: detector election + shrunk acceptor segment vs no-failover control",
+		head:   "fault.failover.uring — U-Ring Paxos (3 acceptors, 4-process ring), 20 Mbps of 1 KB values, permanent coordinator kill: control vs detector failover",
+		deploy: failoverURing, sched: uringFailoverSchedule, variants: failoverVariants, cols: failoverCols,
+	},
+}
+
+// withDetector enables the ring-neighbor failure detector.
+func withDetector(d *deploySpec) {
+	if d.mring != nil {
+		d.mring.Failover = failoverDetector
+	} else {
+		d.uring.Failover = failoverDetector
 	}
-	t.print(w)
+}
+
+// failoverMRing adds to faultMRing a spare (node 5) that the election
+// pulls into the reconfigured ring, and subscribes the proposer to the
+// group so it re-aims at the elected coordinator.
+func failoverMRing() deploySpec {
+	d := faultMRing()
+	d.mring.Spares = []proto.NodeID{5}
+	d.load.subscribed = true
+	return d
+}
+
+// failoverURing moves faultURing's traffic source to the last ring
+// position: the coordinator is the kill target, so the source must
+// survive it.
+func failoverURing() deploySpec {
+	d := faultURing()
+	d.load.at = len(d.uring.Ring) - 1
+	return d
 }
 
 // --- M-Ring Paxos ---
@@ -85,64 +96,6 @@ func mringFailoverSchedule(seed int64) *fault.Schedule {
 	})
 }
 
-// failoverMRingRig is faultMRingRig plus: a spare (node 5) that the
-// election pulls into the reconfigured ring, a proposer subscribed to the
-// group so it re-aims at the elected coordinator, and — in the failover
-// variant — the detector config.
-func failoverMRingRig(dep *DelivDeployment, orc *core.Oracle, s *fault.Schedule, failover bool) *faultRig {
-	cfg := ringpaxos.MConfig{Group: 1, RecycleBatches: true}
-	cfg.Ring = []proto.NodeID{0, 1, 2}
-	cfg.Spares = []proto.NodeID{5}
-	cfg.Learners = []proto.NodeID{100, 101}
-	if failover {
-		cfg.Failover = failoverDetector
-	}
-	l := lan.New(lan.DefaultConfig(), 1)
-	rig := &faultRig{l: l}
-	members := append(append([]proto.NodeID{}, cfg.Ring...), cfg.Spares...)
-	for _, id := range append(members, cfg.Learners...) {
-		a := &ringpaxos.MAgent{Cfg: cfg}
-		for _, lid := range cfg.Learners {
-			if id == lid {
-				a.Trace = chainLearner(dep, orc, id)
-			}
-		}
-		l.AddNode(id, a)
-		l.Subscribe(1, id)
-		rig.ids = append(rig.ids, id)
-	}
-	prop := &ringpaxos.MAgent{Cfg: cfg}
-	p := &pump{size: 1024, rate: 20e6, submit: prop.Propose}
-	l.AddNode(200, proto.Multi(prop, p))
-	l.Subscribe(1, 200)
-	rig.ids = append(rig.ids, 200)
-	if par := Par(); par > 1 {
-		// Ring acceptors AND the spare form LP 1 (the spare joins the ring
-		// mid-run); learners and the proposer keep LP 0.
-		l.Partition(par, func(id proto.NodeID) int {
-			for _, m := range members {
-				if m == id {
-					return 1
-				}
-			}
-			return 0
-		})
-	}
-	l.InstallFaults(s)
-	l.Start()
-	return rig
-}
-
-func runFailoverMRing(w io.Writer, rec *DelivRecorder) {
-	failoverMRingSeeds(w, rec, faultSeeds)
-}
-
-func failoverMRingSeeds(w io.Writer, rec *DelivRecorder, seeds []int64) {
-	runFailoverFamily(w, rec,
-		"fault.failover.mring — M-Ring Paxos (ring 3 + spare), 20 Mbps of 1 KB values, permanent coordinator kill: control vs detector failover",
-		seeds, mringFailoverSchedule, failoverMRingRig)
-}
-
 // --- U-Ring Paxos ---
 
 // uringFailoverSchedule pins the permanent crash on the U-Ring
@@ -159,46 +112,4 @@ func uringFailoverSchedule(seed int64) *fault.Schedule {
 		MinDown:   20 * time.Millisecond,
 		MaxDown:   80 * time.Millisecond,
 	})
-}
-
-// failoverURingRig is faultURingRig with the pump moved to node 3 (the
-// coordinator is the kill target, so the traffic source must survive it)
-// and — in the failover variant — the detector config.
-func failoverURingRig(dep *DelivDeployment, orc *core.Oracle, s *fault.Schedule, failover bool) *faultRig {
-	cfg := ringpaxos.UConfig{NumAcceptors: 3}
-	if failover {
-		cfg.Failover = failoverDetector
-	}
-	const n = 4
-	for i := 0; i < n; i++ {
-		cfg.Ring = append(cfg.Ring, proto.NodeID(i))
-		cfg.Learners = append(cfg.Learners, proto.NodeID(i))
-	}
-	l := lan.New(lan.DefaultConfig(), 1)
-	rig := &faultRig{l: l}
-	for i := 0; i < n; i++ {
-		a := &ringpaxos.UAgent{Cfg: cfg}
-		a.Trace = chainLearner(dep, orc, proto.NodeID(i))
-		var hs []proto.Handler
-		hs = append(hs, a)
-		if i == n-1 {
-			p := &pump{size: 1024, rate: 20e6, submit: a.Propose}
-			hs = append(hs, p)
-		}
-		l.AddNode(proto.NodeID(i), proto.Multi(hs...))
-		rig.ids = append(rig.ids, proto.NodeID(i))
-	}
-	l.InstallFaults(s)
-	l.Start()
-	return rig
-}
-
-func runFailoverURing(w io.Writer, rec *DelivRecorder) {
-	failoverURingSeeds(w, rec, faultSeeds)
-}
-
-func failoverURingSeeds(w io.Writer, rec *DelivRecorder, seeds []int64) {
-	runFailoverFamily(w, rec,
-		"fault.failover.uring — U-Ring Paxos (3 acceptors, 4-process ring), 20 Mbps of 1 KB values, permanent coordinator kill: control vs detector failover",
-		seeds, uringFailoverSchedule, failoverURingRig)
 }

@@ -28,12 +28,9 @@ package bench
 //     freeze, a volatile-state-losing replica crash, and a partition.
 
 import (
-	"fmt"
-	"io"
 	"time"
 
 	"repro/internal/abcast"
-	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/lan"
 	"repro/internal/paxos"
@@ -41,11 +38,71 @@ import (
 	"repro/internal/ringpaxos"
 )
 
-func init() {
-	register(Experiment{ID: "fault.mring", Title: "M-Ring Paxos under learner crash/freeze + datagram loss/delay: safety oracle", Traced: runFaultMRing})
-	register(Experiment{ID: "fault.uring", Title: "U-Ring Paxos under ring freeze + partition (lossless faults only): safety oracle", Traced: runFaultURing})
-	register(Experiment{ID: "fault.paxos", Title: "basic Paxos under acceptor/learner crash + datagram loss/dup: safety oracle", Traced: runFaultPaxos})
-	register(Experiment{ID: "fault.spaxos", Title: "S-Paxos under replica crash/freeze + partition: safety oracle", Traced: runFaultSPaxos})
+var faultCols = []column{colEvents, colMinPos, colMaxPos, colLost, colConsistent}
+
+var faultFamilies = []family{
+	{
+		id:     "fault.mring",
+		title:  "M-Ring Paxos under learner crash/freeze + datagram loss/delay: safety oracle",
+		head:   "fault.mring — M-Ring Paxos, 20 Mbps of 1 KB values under seeded learner crash/freeze + 1% loss",
+		deploy: faultMRing, sched: mringFaultSchedule, cols: faultCols,
+	},
+	{
+		id:     "fault.uring",
+		title:  "U-Ring Paxos under ring freeze + partition (lossless faults only): safety oracle",
+		head:   "fault.uring — U-Ring Paxos (3 acceptors, 4-process ring), 20 Mbps of 1 KB values under seeded freeze + partition",
+		deploy: faultURing, sched: uringFaultSchedule, cols: faultCols,
+	},
+	{
+		id:     "fault.paxos",
+		title:  "basic Paxos under acceptor/learner crash + datagram loss/dup: safety oracle",
+		head:   "fault.paxos — basic Paxos (3 acceptors, 2 learners, multicast), 10 Mbps of 512 B values under seeded crash + 2% loss / 1% dup",
+		deploy: faultPaxos, sched: paxosFaultSchedule, cols: faultCols,
+	},
+	{
+		id:     "fault.spaxos",
+		title:  "S-Paxos under replica crash/freeze + partition: safety oracle",
+		head:   "fault.spaxos — S-Paxos (3 replicas), 10 Mbps of 512 B values under seeded replica crash/freeze + partition",
+		deploy: faultSPaxos, sched: spaxosFaultSchedule, cols: faultCols,
+	},
+}
+
+// The four base deployments every fault and soak family starts from.
+
+// faultMRing: ring of 3, two learners, a 20 Mbps proposer of 1 KB values.
+func faultMRing() deploySpec {
+	return deploySpec{
+		mring: &ringpaxos.MConfig{Group: 1, RecycleBatches: true,
+			Ring: []proto.NodeID{0, 1, 2}, Learners: []proto.NodeID{100, 101}},
+		rigSpec: rigSpec{net: lan.DefaultConfig(), load: load{size: 1024, rate: 20e6}},
+	}
+}
+
+// faultURing: 4-process ring with 3 acceptors, the same load entering at
+// the coordinator.
+func faultURing() deploySpec {
+	return deploySpec{
+		uring:   &ringpaxos.UConfig{NumAcceptors: 3, Ring: nodeIDs(0, 4), Learners: nodeIDs(0, 4)},
+		rigSpec: rigSpec{net: lan.DefaultConfig(), load: load{size: 1024, rate: 20e6}},
+	}
+}
+
+// faultPaxos: 3 acceptors, 2 learners, multicast wiring, a 10 Mbps
+// proposer of 512 B values.
+func faultPaxos() deploySpec {
+	return deploySpec{
+		paxos: &paxos.Config{Coordinator: 0, Multicast: true, Group: 1, Window: 8,
+			Acceptors: []proto.NodeID{0, 1, 2}, Learners: []proto.NodeID{100, 101}},
+		rigSpec: rigSpec{net: lan.DefaultConfig(), load: load{size: 512, rate: 10e6}},
+	}
+}
+
+// faultSPaxos: 3 replicas sharing the same 10 Mbps.
+func faultSPaxos() deploySpec {
+	return deploySpec{
+		spaxos:  &abcast.SPaxos{Replicas: []proto.NodeID{0, 1, 2}},
+		rigSpec: rigSpec{net: lan.DefaultConfig(), load: load{size: 512, rate: 10e6}},
+	}
 }
 
 // faultDur is one fault run's length; every generated schedule resolves
@@ -59,60 +116,6 @@ var faultSeeds = []int64{1, 2, 3}
 // faultWindow bounds generated fault activity: after early warmup,
 // resolved well before the run ends.
 var faultWindow = [2]time.Duration{200 * time.Millisecond, 900 * time.Millisecond}
-
-// faultRig is one deployed protocol instance plus the bookkeeping the
-// report needs.
-type faultRig struct {
-	l   *lan.LAN
-	ids []proto.NodeID
-}
-
-// lost sums the loss counters (schedule drops, partition cuts,
-// dead-process losses, LossRate draws) across every node.
-func (r *faultRig) lost() int64 {
-	var n int64
-	for _, id := range r.ids {
-		n += r.l.Node(id).Stats().MsgsLost
-	}
-	return n
-}
-
-// chainLearner registers a delivery trace for the learner and chains a
-// cursor of the deployment's safety oracle behind it. The trace's
-// 45 ms window bounds only the delivery digest; the oracle sees every
-// delivery of the whole run.
-func chainLearner(dep *DelivDeployment, orc *core.Oracle, id proto.NodeID) *core.DelivTrace {
-	tr := dep.Learner(id)
-	if tr == nil {
-		// No recorder (plain Run path): a detached trace keeps the oracle
-		// wiring — and therefore the printed verdicts — identical.
-		tr = core.NewDelivTrace(DelivWindow)
-	}
-	tr.Chain(orc.Learner())
-	return tr
-}
-
-// runFaultFamily drives one protocol through every seed's schedule and
-// prints the per-seed report. Positions and loss counts are
-// seed-dependent (pinned by the per-experiment output golden); the
-// oracle verdicts are not (pinned by the safety golden).
-func runFaultFamily(w io.Writer, rec *DelivRecorder, title string, seeds []int64,
-	sched func(seed int64) *fault.Schedule,
-	build func(dep *DelivDeployment, orc *core.Oracle, s *fault.Schedule) *faultRig) {
-	t := newTable(title, "seed", "events", "minpos", "maxpos", "lost", "consistent")
-	for _, seed := range seeds {
-		orc := rec.Oracle()
-		s := sched(seed)
-		rig := build(rec.Deployment(), orc, s)
-		rig.l.Run(faultDur)
-		t.row(fmt.Sprint(seed), s.Len(), orc.MinPos(), orc.MaxPos(), rig.lost(), fmt.Sprint(orc.Consistent()))
-		t.note("seed %d: %s", seed, orc.Verdict())
-		if d := orc.FirstDivergence(); d != "" {
-			t.note("seed %d FIRST DIVERGENCE: %s", seed, d)
-		}
-	}
-	t.print(w)
-}
 
 // --- M-Ring Paxos ---
 
@@ -131,53 +134,6 @@ func mringFaultSchedule(seed int64) *fault.Schedule {
 	// paused and catches up through gap recovery after the thaw.
 	s.CrashFor(50*time.Millisecond, 70*time.Millisecond, 101, fault.Freeze)
 	return s
-}
-
-func faultMRingRig(dep *DelivDeployment, orc *core.Oracle, s *fault.Schedule) *faultRig {
-	cfg := ringpaxos.MConfig{Group: 1, RecycleBatches: true}
-	cfg.Ring = []proto.NodeID{0, 1, 2}
-	cfg.Learners = []proto.NodeID{100, 101}
-	l := lan.New(lan.DefaultConfig(), 1)
-	rig := &faultRig{l: l}
-	for _, id := range append(append([]proto.NodeID{}, cfg.Ring...), cfg.Learners...) {
-		a := &ringpaxos.MAgent{Cfg: cfg}
-		for _, lid := range cfg.Learners {
-			if id == lid {
-				a.Trace = chainLearner(dep, orc, id)
-			}
-		}
-		l.AddNode(id, a)
-		l.Subscribe(1, id)
-		rig.ids = append(rig.ids, id)
-	}
-	prop := &ringpaxos.MAgent{Cfg: cfg}
-	p := &pump{size: 1024, rate: 20e6, submit: prop.Propose}
-	l.AddNode(200, proto.Multi(prop, p))
-	rig.ids = append(rig.ids, 200)
-	if par := Par(); par > 1 {
-		// Same split as the figure rigs: ring acceptors form LP 1,
-		// learners and the proposer keep LP 0. Fault events fire on each
-		// target node's own LP, so the run stays byte-identical.
-		l.Partition(par, func(id proto.NodeID) int {
-			if int(id) < len(cfg.Ring) {
-				return 1
-			}
-			return 0
-		})
-	}
-	l.InstallFaults(s)
-	l.Start()
-	return rig
-}
-
-func runFaultMRing(w io.Writer, rec *DelivRecorder) {
-	faultMRingSeeds(w, rec, faultSeeds)
-}
-
-func faultMRingSeeds(w io.Writer, rec *DelivRecorder, seeds []int64) {
-	runFaultFamily(w, rec,
-		"fault.mring — M-Ring Paxos, 20 Mbps of 1 KB values under seeded learner crash/freeze + 1% loss",
-		seeds, mringFaultSchedule, faultMRingRig)
 }
 
 // --- U-Ring Paxos ---
@@ -200,42 +156,6 @@ func uringFaultSchedule(seed int64) *fault.Schedule {
 	})
 }
 
-func faultURingRig(dep *DelivDeployment, orc *core.Oracle, s *fault.Schedule) *faultRig {
-	cfg := ringpaxos.UConfig{NumAcceptors: 3}
-	const n = 4
-	for i := 0; i < n; i++ {
-		cfg.Ring = append(cfg.Ring, proto.NodeID(i))
-		cfg.Learners = append(cfg.Learners, proto.NodeID(i))
-	}
-	l := lan.New(lan.DefaultConfig(), 1)
-	rig := &faultRig{l: l}
-	for i := 0; i < n; i++ {
-		a := &ringpaxos.UAgent{Cfg: cfg}
-		a.Trace = chainLearner(dep, orc, proto.NodeID(i))
-		var hs []proto.Handler
-		hs = append(hs, a)
-		if i == 0 {
-			p := &pump{size: 1024, rate: 20e6, submit: a.Propose}
-			hs = append(hs, p)
-		}
-		l.AddNode(proto.NodeID(i), proto.Multi(hs...))
-		rig.ids = append(rig.ids, proto.NodeID(i))
-	}
-	l.InstallFaults(s)
-	l.Start()
-	return rig
-}
-
-func runFaultURing(w io.Writer, rec *DelivRecorder) {
-	faultURingSeeds(w, rec, faultSeeds)
-}
-
-func faultURingSeeds(w io.Writer, rec *DelivRecorder, seeds []int64) {
-	runFaultFamily(w, rec,
-		"fault.uring — U-Ring Paxos (3 acceptors, 4-process ring), 20 Mbps of 1 KB values under seeded freeze + partition",
-		seeds, uringFaultSchedule, faultURingRig)
-}
-
 // --- basic Paxos (multicast wiring) ---
 
 func paxosFaultSchedule(seed int64) *fault.Schedule {
@@ -251,40 +171,6 @@ func paxosFaultSchedule(seed int64) *fault.Schedule {
 		MaxDown:    80 * time.Millisecond,
 		Net:        fault.Net{DropRate: 0.02, DupRate: 0.01},
 	})
-}
-
-func faultPaxosRig(dep *DelivDeployment, orc *core.Oracle, s *fault.Schedule) *faultRig {
-	cfg := paxos.Config{Coordinator: 0, Multicast: true, Group: 1, Window: 8}
-	cfg.Acceptors = []proto.NodeID{0, 1, 2}
-	cfg.Learners = []proto.NodeID{100, 101}
-	l := lan.New(lan.DefaultConfig(), 1)
-	rig := &faultRig{l: l}
-	for i, id := range append(append([]proto.NodeID{}, cfg.Acceptors...), cfg.Learners...) {
-		a := &paxos.Agent{Cfg: cfg}
-		if i >= len(cfg.Acceptors) {
-			a.Trace = chainLearner(dep, orc, id)
-		}
-		l.AddNode(id, a)
-		l.Subscribe(1, id)
-		rig.ids = append(rig.ids, id)
-	}
-	prop := &paxos.Agent{Cfg: cfg}
-	p := &pump{size: 512, rate: 10e6, submit: prop.Propose}
-	l.AddNode(200, proto.Multi(prop, p))
-	rig.ids = append(rig.ids, 200)
-	l.InstallFaults(s)
-	l.Start()
-	return rig
-}
-
-func runFaultPaxos(w io.Writer, rec *DelivRecorder) {
-	faultPaxosSeeds(w, rec, faultSeeds)
-}
-
-func faultPaxosSeeds(w io.Writer, rec *DelivRecorder, seeds []int64) {
-	runFaultFamily(w, rec,
-		"fault.paxos — basic Paxos (3 acceptors, 2 learners, multicast), 10 Mbps of 512 B values under seeded crash + 2% loss / 1% dup",
-		seeds, paxosFaultSchedule, faultPaxosRig)
 }
 
 // --- S-Paxos ---
@@ -306,30 +192,4 @@ func spaxosFaultSchedule(seed int64) *fault.Schedule {
 	// dissemination traffic is held losslessly and drains at the thaw.
 	s.CrashFor(50*time.Millisecond, 70*time.Millisecond, 1, fault.Freeze)
 	return s
-}
-
-func faultSPaxosRig(dep *DelivDeployment, orc *core.Oracle, s *fault.Schedule) *faultRig {
-	reps := []proto.NodeID{0, 1, 2}
-	l := lan.New(lan.DefaultConfig(), 1)
-	rig := &faultRig{l: l}
-	for i := range reps {
-		a := &abcast.SPaxos{Replicas: reps}
-		a.Trace = chainLearner(dep, orc, reps[i])
-		p := &pump{size: 512, rate: 10e6 / float64(len(reps)), submit: a.Submit}
-		l.AddNode(reps[i], proto.Multi(a, p))
-		rig.ids = append(rig.ids, reps[i])
-	}
-	l.InstallFaults(s)
-	l.Start()
-	return rig
-}
-
-func runFaultSPaxos(w io.Writer, rec *DelivRecorder) {
-	faultSPaxosSeeds(w, rec, faultSeeds)
-}
-
-func faultSPaxosSeeds(w io.Writer, rec *DelivRecorder, seeds []int64) {
-	runFaultFamily(w, rec,
-		"fault.spaxos — S-Paxos (3 replicas), 10 Mbps of 512 B values under seeded replica crash/freeze + partition",
-		seeds, spaxosFaultSchedule, faultSPaxosRig)
 }

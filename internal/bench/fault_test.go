@@ -2,28 +2,52 @@ package bench
 
 import (
 	"bytes"
-	"io"
 	"strings"
 	"testing"
 )
 
-// faultFamilies lists every fault experiment's seed-parameterized runner,
-// so the invariance tests can re-run them under alternate seed sets.
-var faultFamilies = []struct {
-	id  string
-	run func(w io.Writer, rec *DelivRecorder, seeds []int64)
-}{
-	{"fault.mring", faultMRingSeeds},
-	{"fault.uring", faultURingSeeds},
-	{"fault.paxos", faultPaxosSeeds},
-	{"fault.spaxos", faultSPaxosSeeds},
-	{"fault.failover.mring", failoverMRingSeeds},
-	{"fault.failover.uring", failoverURingSeeds},
-	{"fault.recovery.mring", recoveryMRingSeeds},
-	{"fault.recovery.uring", recoveryURingSeeds},
-	{"fault.recovery.snapshot", recoverySnapshotSeeds},
-	{"fault.client.mring", clientMRingSeeds},
-	{"fault.client.uring", clientURingSeeds},
+// faultFams returns the fault families of the table (soak families have
+// no schedule, hence no seeds to vary).
+func faultFams() []*family {
+	var out []*family
+	for i := range families {
+		if families[i].sched != nil {
+			out = append(out, &families[i])
+		}
+	}
+	return out
+}
+
+// TestFamilyTableCoversRegistry ties the registry to the table in both
+// directions: every registered fault.* and soak.* experiment is a table
+// entry (so the invariance tests below cannot miss a family) and every
+// entry is registered.
+func TestFamilyTableCoversRegistry(t *testing.T) {
+	inTable := map[string]bool{}
+	for _, f := range families {
+		if inTable[f.id] {
+			t.Errorf("family %s appears twice in the table", f.id)
+		}
+		inTable[f.id] = true
+		if _, ok := Get(f.id); !ok {
+			t.Errorf("family %s is not registered", f.id)
+		}
+		if strings.HasPrefix(f.id, "fault.") != (f.sched != nil) {
+			t.Errorf("family %s: fault.* ids carry a schedule, soak.* ids do not", f.id)
+		}
+	}
+	n := 0
+	for _, e := range All() {
+		if strings.HasPrefix(e.ID, "fault.") || strings.HasPrefix(e.ID, "soak.") {
+			n++
+			if !inTable[e.ID] {
+				t.Errorf("experiment %s is registered outside the family table", e.ID)
+			}
+		}
+	}
+	if n != len(families) || len(faultFams()) == 0 {
+		t.Errorf("%d fault.*/soak.* experiments registered, table has %d entries (%d fault families)", n, len(families), len(faultFams()))
+	}
 }
 
 // TestFaultSafetySeedInvariant is the property the safety layer pins:
@@ -35,11 +59,11 @@ func TestFaultSafetySeedInvariant(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every fault deployment twice (seconds of simulation)")
 	}
-	for _, f := range faultFamilies {
+	for _, f := range faultFams() {
 		recA, recB := &DelivRecorder{}, &DelivRecorder{}
 		var outA, outB bytes.Buffer
-		f.run(&outA, recA, []int64{1, 2, 3})
-		f.run(&outB, recB, []int64{11, 12, 13})
+		runFamily(&outA, recA, f, []int64{1, 2, 3})
+		runFamily(&outB, recB, f, []int64{11, 12, 13})
 		dA, dB := recA.SafetyDigest(), recB.SafetyDigest()
 		if dA == "" || dB == "" {
 			t.Errorf("%s: empty safety digest (a=%q b=%q)", f.id, dA, dB)
@@ -64,14 +88,14 @@ func TestFaultParInvariant(t *testing.T) {
 		t.Skip("runs every fault deployment at three par levels")
 	}
 	defer SetPar(Par())
-	for _, f := range faultFamilies {
+	for _, f := range faultFams() {
 		var ref []byte
 		var refDigest string
 		for _, par := range []int{1, 2, 4} {
 			SetPar(par)
 			rec := &DelivRecorder{}
 			var out bytes.Buffer
-			f.run(&out, rec, faultSeeds)
+			runFamily(&out, rec, f, faultSeeds)
 			if par == 1 {
 				ref, refDigest = out.Bytes(), rec.SafetyDigest()
 				continue
@@ -109,31 +133,5 @@ func TestSafetyRecorder(t *testing.T) {
 	}
 	if d := rec.SafetyDigest(); len(d) != 64 {
 		t.Errorf("safety digest = %q, want sha256 hex", d)
-	}
-}
-
-// TestSafetyGoldenRoundTrip exercises the safety-pin helpers next to the
-// other two layers in one directory.
-func TestSafetyGoldenRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	const id = "fault.fake"
-	if err := WriteSafetyGolden(dir, id, "safety-hash"); err != nil {
-		t.Fatal(err)
-	}
-	if got, err := ReadSafetyGolden(dir, id); err != nil || got != "safety-hash" {
-		t.Fatalf("ReadSafetyGolden = %q, %v", got, err)
-	}
-	bad := VerifySafetyGolden(dir, []Result{
-		{ID: id, SafetySHA256: "safety-hash"},    // match
-		{ID: id, SafetySHA256: "0000"},           // mismatch
-		{ID: "absent", SafetySHA256: "1111"},     // no pin
-		{ID: "no-oracle" /* empty digest */},     // skipped
-		{ID: id, SafetySHA256: "x", Err: io.EOF}, // failed run skipped
-	})
-	if len(bad) != 2 {
-		t.Fatalf("VerifySafetyGolden reported %d divergences, want 2: %v", len(bad), bad)
-	}
-	if !strings.Contains(bad[0], "SAFETY VERDICT diverged") || !strings.Contains(bad[1], "no safety golden") {
-		t.Errorf("unexpected divergence messages: %v", bad)
 	}
 }

@@ -412,23 +412,8 @@ func runFig3_14(w io.Writer, rec *DelivRecorder) {
 		FlowThreshold: 16,
 		ExecCost:      1 * time.Microsecond,
 	}
-	l := lan.New(lan.DefaultConfig(), 1)
-	dep := rec.Deployment()
-	agents := map[proto.NodeID]*ringpaxos.MAgent{}
-	for _, id := range []proto.NodeID{0, 1, 100, 101, 102} {
-		a := &ringpaxos.MAgent{Cfg: cfg}
-		agents[id] = a
-		l.AddNode(id, a)
-		l.Subscribe(1, id)
-	}
-	for _, id := range cfg.Learners {
-		agents[id].Trace = dep.Learner(id)
-	}
-	prop := &ringpaxos.MAgent{Cfg: cfg}
-	p := &pump{size: 8 << 10, rate: 800e6, submit: prop.Propose}
-	l.AddNode(200, proto.Multi(prop, p))
-	l.Start()
-	slow := agents[100]
+	r := buildMRing(cfg, rigSpec{dep: rec.Deployment(), net: lan.DefaultConfig(), load: load{size: 8 << 10, rate: 800e6}})
+	slow, fast := r.mring[100], r.mring[101]
 	t := newTable("Fig 3.14 — flow control trace (slow learner 2s-4s): Mbps per second and coordinator window",
 		"second", "delivery@slow", "delivery@fast", "window", "drops")
 	var prevSlow, prevFast int64
@@ -440,82 +425,55 @@ func runFig3_14(w io.Writer, rec *DelivRecorder) {
 		if sec == 4 {
 			slow.Cfg.ExecCost = time.Microsecond // restores its rate
 		}
-		l.Run(time.Second)
-		d := totalDrops(l, cfg.Learners)
+		r.l.Run(time.Second)
+		d := r.drops()
 		t.row(sec+1,
 			fmt.Sprintf("%.0f", mbps(slow.DeliveredBytes-prevSlow, time.Second)),
-			fmt.Sprintf("%.0f", mbps(agents[101].DeliveredBytes-prevFast, time.Second)),
-			agents[1].Window(), d-prevDrops)
-		prevSlow, prevFast = slow.DeliveredBytes, agents[101].DeliveredBytes
+			fmt.Sprintf("%.0f", mbps(fast.DeliveredBytes-prevFast, time.Second)),
+			r.mring[1].Window(), d-prevDrops)
+		prevSlow, prevFast = slow.DeliveredBytes, fast.DeliveredBytes
 		prevDrops = d
 	}
 	t.note("paper: the coordinator halves its window on notifications, all learners slow together, and recovery restores the rate")
 	t.print(w)
 }
 
-func runTab3_3(w io.Writer, rec *DelivRecorder) {
-	lc := lan.DefaultConfig()
-	cfg := ringpaxos.MConfig{Ring: []proto.NodeID{0, 1, 2}, Learners: []proto.NodeID{100}, Group: 1}
-	l := lan.New(lc, 1)
-	dep := rec.Deployment()
-	agents := map[proto.NodeID]*ringpaxos.MAgent{}
-	for _, id := range []proto.NodeID{0, 1, 2, 100} {
-		a := &ringpaxos.MAgent{Cfg: cfg}
-		agents[id] = a
-		l.AddNode(id, a)
-		l.Subscribe(1, id)
-	}
-	agents[100].Trace = dep.Learner(100)
-	prop := &ringpaxos.MAgent{Cfg: cfg}
-	p := &pump{size: 8 << 10, rate: 900e6, submit: prop.Propose}
-	l.AddNode(200, proto.Multi(prop, p))
-	l.Start()
-	l.Run(warmup)
+// cpuShares runs a warmup and the measurement window and returns a
+// function reporting a node's CPU busy share of the window.
+func cpuShares(r *rig) func(id proto.NodeID) string {
+	r.l.Run(warmup)
 	base := map[proto.NodeID]time.Duration{}
-	for _, id := range []proto.NodeID{0, 1, 2, 100, 200} {
-		base[id] = l.Node(id).CPUBusy()
+	for _, id := range r.ids {
+		base[id] = r.l.Node(id).CPUBusy()
 	}
-	l.Run(measure)
+	r.l.Run(measure)
+	return func(id proto.NodeID) string {
+		return pct(float64(r.l.Node(id).CPUBusy()-base[id]), float64(measure))
+	}
+}
+
+func runTab3_3(w io.Writer, rec *DelivRecorder) {
+	cfg := ringpaxos.MConfig{Ring: []proto.NodeID{0, 1, 2}, Learners: []proto.NodeID{100}, Group: 1}
+	r := buildMRing(cfg, rigSpec{dep: rec.Deployment(), net: lan.DefaultConfig(), load: load{size: 8 << 10, rate: 900e6}})
+	cpu := cpuShares(r)
 	t := newTable("Tab 3.3 — CPU and memory per role at peak, M-Ring Paxos (paper: coord 88%, acceptor 24%, learner 21%, proposer 37%)",
 		"role", "CPU", "store bytes")
-	cpu := func(id proto.NodeID) string {
-		return pct(float64(l.Node(id).CPUBusy()-base[id]), float64(measure))
-	}
 	t.row("proposer", cpu(200), "-")
-	t.row("coordinator", cpu(2), agents[2].StoreBytes())
-	t.row("acceptor", cpu(0), agents[0].StoreBytes())
+	t.row("coordinator", cpu(2), r.mring[2].StoreBytes())
+	t.row("acceptor", cpu(0), r.mring[0].StoreBytes())
 	t.row("learner", cpu(100), "-")
 	t.print(w)
 }
 
 func runTab3_4(w io.Writer, rec *DelivRecorder) {
-	lc := lan.DefaultConfig()
-	cfg := ringpaxos.UConfig{}
-	for i := 0; i < 3; i++ {
-		cfg.Ring = append(cfg.Ring, proto.NodeID(i))
-		cfg.Learners = append(cfg.Learners, proto.NodeID(i))
-	}
-	l := lan.New(lc, 1)
-	dep := rec.Deployment()
-	agents := make([]*ringpaxos.UAgent, 3)
-	for i := 0; i < 3; i++ {
-		agents[i] = &ringpaxos.UAgent{Cfg: cfg}
-		agents[i].Trace = dep.Learner(proto.NodeID(i))
-		p := &pump{size: 32 << 10, rate: 300e6, submit: agents[i].Propose}
-		l.AddNode(proto.NodeID(i), proto.Multi(agents[i], p))
-	}
-	l.Start()
-	l.Run(warmup)
-	base := map[proto.NodeID]time.Duration{}
-	for i := 0; i < 3; i++ {
-		base[proto.NodeID(i)] = l.Node(proto.NodeID(i)).CPUBusy()
-	}
-	l.Run(measure)
+	cfg := ringpaxos.UConfig{Ring: nodeIDs(0, 3), Learners: nodeIDs(0, 3)}
+	// Every process proposes 300 Mbps of its own.
+	r := buildURing(cfg, rigSpec{dep: rec.Deployment(), net: lan.DefaultConfig(), load: load{size: 32 << 10, rate: 900e6, at: everyNode}})
+	cpu := cpuShares(r)
 	t := newTable("Tab 3.4 — CPU per role at peak, U-Ring Paxos (paper: ~48% per process, all roles alike)",
 		"role", "CPU")
 	for i := 0; i < 3; i++ {
-		t.row(fmt.Sprintf("proposer-acceptor-learner %d", i),
-			pct(float64(l.Node(proto.NodeID(i)).CPUBusy()-base[proto.NodeID(i)]), float64(measure)))
+		t.row(fmt.Sprintf("proposer-acceptor-learner %d", i), cpu(proto.NodeID(i)))
 	}
 	t.print(w)
 }

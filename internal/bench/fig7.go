@@ -67,9 +67,6 @@ func hetero(w io.Writer, fig, name string, run func(lc lan.Config, slow int) abR
 	t.print(w)
 }
 
-// slowCfg communicates the slow node index to the runners via a package
-// variable consumed by lan deployment wrappers below. To stay simple the
-// heterogeneous runners rebuild deployments locally.
 func runFig7_3(w io.Writer, rec *DelivRecorder) {
 	hetero(w, "7.3", "S-Paxos", func(lc lan.Config, slow int) abResult {
 		return runSPaxosHet(rec, 3, 8<<10, 400e6, lc, slow)
@@ -78,7 +75,7 @@ func runFig7_3(w io.Writer, rec *DelivRecorder) {
 
 func runFig7_4(w io.Writer, rec *DelivRecorder) {
 	hetero(w, "7.4", "OpenReplica-style (unicast, unbatched)", func(lc lan.Config, slow int) abResult {
-		return runPaxosHet(rec, 3, 3, 4<<10, false, 60e6, lc, slow)
+		return runPaxosHet(rec, 3, 3, 4<<10, false, 60e6, lc, slow, 0)
 	})
 }
 
@@ -90,12 +87,12 @@ func runFig7_5(w io.Writer, rec *DelivRecorder) {
 
 func runFig7_6(w io.Writer, rec *DelivRecorder) {
 	hetero(w, "7.6", "Libpaxos (multicast, unbatched)", func(lc lan.Config, slow int) abResult {
-		return runPaxosHet(rec, 3, 3, 4<<10, true, 150e6, lc, slow)
+		return runPaxosHet(rec, 3, 3, 4<<10, true, 150e6, lc, slow, 0)
 	})
 }
 
 func runFig7_7(w io.Writer, rec *DelivRecorder) {
 	hetero(w, "7.7", "Libpaxos+ (multicast, batched)", func(lc lan.Config, slow int) abResult {
-		return runPaxosBatchedHet(rec, 3, 3, 4<<10, 300e6, lc, slow)
+		return runPaxosHet(rec, 3, 3, 4<<10, true, 300e6, lc, slow, 32<<10)
 	})
 }

@@ -22,9 +22,9 @@ package bench
 // deployment-shape change) and is never re-pinned reflexively.
 //
 // All layers are verified by go test ./internal/bench (TestGoldenOutputs
-// / TestDeliveryEquivalence / TestSafetyGoldens) and by cmd/repro
-// -verify-golden / -verify-deliv / -verify-safety; -update-golden
-// regenerates every layer from one run.
+// / TestDeliveryEquivalence / TestSafetyGoldens) and by cmd/repro -verify,
+// which checks every layer an experiment has; -update-golden regenerates
+// every layer from one run.
 
 import (
 	"fmt"
@@ -67,67 +67,84 @@ func ResolveGoldenDir(dir string) string {
 	}
 }
 
-// GoldenPath returns the output golden file for one experiment id.
-func GoldenPath(dir, id string) string {
-	return filepath.Join(dir, id+".sha256")
+// GoldenLayer is one pinned digest of an experiment run.
+type GoldenLayer struct {
+	Name   string // "output", "delivery", "safety"
+	suffix string // pin file name after the experiment id
+	digest func(r Result) string
+	// Optional marks a layer an experiment may legitimately lack: an empty
+	// digest then means "no pin" (only deployments that wire an oracle have
+	// a safety digest). On the other layers a run that did not fail always
+	// has a digest, and an empty one is reported.
+	Optional bool
+	diverged string // headline of a mismatch report
 }
 
-// DelivPath returns the delivery-equivalence golden file for one
-// experiment id.
-func DelivPath(dir, id string) string {
-	return filepath.Join(dir, id+".deliv.sha256")
+// GoldenLayers lists the layers, weakest first.
+var GoldenLayers = []GoldenLayer{
+	{Name: "output", suffix: ".sha256", digest: func(r Result) string { return r.SHA256 },
+		diverged: "output diverged from golden"},
+	// A divergence here is stronger than an output divergence: some
+	// learner's agreed delivery sequence (or an experiment's deployment
+	// shape) changed, which no schedule-only refactor may do silently.
+	{Name: "delivery", suffix: ".deliv.sha256", digest: func(r Result) string { return r.DelivSHA256 },
+		diverged: "DELIVERY SEQUENCE diverged from golden"},
+	// The strongest possible regression signal: some learner's delivered
+	// sequence stopped being a prefix of the agreed sequence under fault
+	// injection, or a deployment changed shape.
+	{Name: "safety", suffix: ".safety.sha256", digest: func(r Result) string { return r.SafetySHA256 },
+		Optional: true, diverged: "SAFETY VERDICT diverged from golden"},
 }
 
-// SafetyPath returns the safety golden file for one experiment id.
-func SafetyPath(dir, id string) string {
-	return filepath.Join(dir, id+".safety.sha256")
-}
+// Path returns the layer's pin file for one experiment id.
+func (l GoldenLayer) Path(dir, id string) string { return filepath.Join(dir, id+l.suffix) }
 
-func readPin(path string) (string, error) {
-	b, err := os.ReadFile(path)
+// Read returns the layer's pinned digest for id, or "" with os.ErrNotExist
+// wrapped when no pin file exists yet.
+func (l GoldenLayer) Read(dir, id string) (string, error) {
+	b, err := os.ReadFile(l.Path(dir, id))
 	if err != nil {
 		return "", err
 	}
 	return strings.TrimSpace(string(b)), nil
 }
 
-func writePin(dir, path, hash string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
+// Pin writes r's digest on this layer as the pin for r.ID, creating dir
+// as needed; a result with no digest here gets no pin (wrote = false).
+func (l GoldenLayer) Pin(dir string, r Result) (wrote bool, err error) {
+	hash := l.digest(r)
+	if hash == "" {
+		return false, nil
 	}
-	return os.WriteFile(path, []byte(hash+"\n"), 0o644)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return false, err
+	}
+	return true, os.WriteFile(l.Path(dir, r.ID), []byte(hash+"\n"), 0o644)
 }
 
-// ReadGolden returns the pinned output hash for id, or "" with
-// os.ErrNotExist wrapped when no golden file exists yet.
-func ReadGolden(dir, id string) (string, error) {
-	return readPin(GoldenPath(dir, id))
-}
-
-// WriteGolden pins hash as the golden output for id, creating dir as
-// needed.
-func WriteGolden(dir, id, hash string) error {
-	return writePin(dir, GoldenPath(dir, id), hash)
-}
-
-// ReadDelivGolden returns the pinned delivery digest for id.
-func ReadDelivGolden(dir, id string) (string, error) {
-	return readPin(DelivPath(dir, id))
-}
-
-// WriteDelivGolden pins hash as the delivery-equivalence golden for id.
-func WriteDelivGolden(dir, id, hash string) error {
-	return writePin(dir, DelivPath(dir, id), hash)
-}
-
-// ReadSafetyGolden returns the pinned safety digest for id.
-func ReadSafetyGolden(dir, id string) (string, error) {
-	return readPin(SafetyPath(dir, id))
-}
-
-// WriteSafetyGolden pins hash as the safety golden for id.
-func WriteSafetyGolden(dir, id, hash string) error {
-	return writePin(dir, SafetyPath(dir, id), hash)
+// Verify compares results against the layer's pins in dir and returns one
+// line per divergence (missing pin, mismatch, or a missing digest on a
+// layer that is not Optional). Failed results are the caller's concern.
+func (l GoldenLayer) Verify(dir string, results []Result) []string {
+	var bad []string
+	for _, r := range results {
+		got := l.digest(r)
+		if r.Err != nil || (got == "" && l.Optional) {
+			continue
+		}
+		if got == "" {
+			bad = append(bad, fmt.Sprintf("%s: run produced no %s digest", r.ID, l.Name))
+			continue
+		}
+		want, err := l.Read(dir, r.ID)
+		switch {
+		case err != nil:
+			bad = append(bad, fmt.Sprintf("%s: no %s golden (%v); run cmd/repro -update-golden", r.ID, l.Name, err))
+		case want != got:
+			bad = append(bad, fmt.Sprintf("%s: %s\n  got:  %s\n  want: %s", r.ID, l.diverged, got, want))
+		}
+	}
+	return bad
 }
 
 // GoldenExperiments returns every registered experiment that participates
@@ -140,68 +157,4 @@ func GoldenExperiments() []Experiment {
 		}
 	}
 	return out
-}
-
-// VerifyGolden compares results against the output golden files in dir
-// and returns one line per divergence (missing file or hash mismatch).
-// Volatile experiments and failed results are the caller's concern; this
-// only inspects results that carry a hash.
-func VerifyGolden(dir string, results []Result) []string {
-	var bad []string
-	for _, r := range results {
-		if r.SHA256 == "" {
-			continue
-		}
-		want, err := ReadGolden(dir, r.ID)
-		switch {
-		case err != nil:
-			bad = append(bad, fmt.Sprintf("%s: no golden file (%v); run cmd/repro -update-golden", r.ID, err))
-		case want != r.SHA256:
-			bad = append(bad, fmt.Sprintf("%s: output diverged from golden\n  got:  %s\n  want: %s", r.ID, r.SHA256, want))
-		}
-	}
-	return bad
-}
-
-// VerifyDelivGolden compares results against the delivery-equivalence
-// pins in dir. A divergence here is stronger than an output divergence:
-// some learner's agreed delivery sequence (or an experiment's deployment
-// shape) changed, which no schedule-only refactor may do silently.
-func VerifyDelivGolden(dir string, results []Result) []string {
-	var bad []string
-	for _, r := range results {
-		if r.Err != nil || r.DelivSHA256 == "" {
-			continue
-		}
-		want, err := ReadDelivGolden(dir, r.ID)
-		switch {
-		case err != nil:
-			bad = append(bad, fmt.Sprintf("%s: no delivery golden (%v); run cmd/repro -update-golden", r.ID, err))
-		case want != r.DelivSHA256:
-			bad = append(bad, fmt.Sprintf("%s: DELIVERY SEQUENCE diverged from golden\n  got:  %s\n  want: %s", r.ID, r.DelivSHA256, want))
-		}
-	}
-	return bad
-}
-
-// VerifySafetyGolden compares results against the safety pins in dir.
-// Results with no safety digest (no oracle registered) are skipped; for
-// the rest a divergence is the strongest possible regression signal —
-// some learner's delivered sequence stopped being a prefix of the agreed
-// sequence under fault injection, or a deployment changed shape.
-func VerifySafetyGolden(dir string, results []Result) []string {
-	var bad []string
-	for _, r := range results {
-		if r.Err != nil || r.SafetySHA256 == "" {
-			continue
-		}
-		want, err := ReadSafetyGolden(dir, r.ID)
-		switch {
-		case err != nil:
-			bad = append(bad, fmt.Sprintf("%s: no safety golden (%v); run cmd/repro -update-golden", r.ID, err))
-		case want != r.SafetySHA256:
-			bad = append(bad, fmt.Sprintf("%s: SAFETY VERDICT diverged from golden\n  got:  %s\n  want: %s", r.ID, r.SafetySHA256, want))
-		}
-	}
-	return bad
 }

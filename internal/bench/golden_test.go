@@ -1,13 +1,27 @@
 package bench
 
 import (
+	"io"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 )
 
 const goldenDir = "testdata/golden"
+
+// layer returns the named golden layer.
+func layer(t *testing.T, name string) GoldenLayer {
+	t.Helper()
+	for _, l := range GoldenLayers {
+		if l.Name == name {
+			return l
+		}
+	}
+	t.Fatalf("no golden layer %q", name)
+	return GoldenLayer{}
+}
 
 // goldenPoolResults regenerates the full evaluation exactly once per test
 // binary and shares the results between the output-hash and
@@ -40,7 +54,7 @@ func goldenPoolResults(t *testing.T) []Result {
 //
 //	go run ./cmd/repro -update-golden
 func TestGoldenOutputs(t *testing.T) {
-	for _, bad := range VerifyGolden(goldenDir, goldenPoolResults(t)) {
+	for _, bad := range layer(t, "output").Verify(goldenDir, goldenPoolResults(t)) {
 		t.Error(bad)
 	}
 }
@@ -55,7 +69,7 @@ func TestGoldenOutputs(t *testing.T) {
 // experiment's deployment shape) changed; that needs explicit
 // justification, never a reflexive re-pin.
 func TestDeliveryEquivalence(t *testing.T) {
-	for _, bad := range VerifyDelivGolden(goldenDir, goldenPoolResults(t)) {
+	for _, bad := range layer(t, "delivery").Verify(goldenDir, goldenPoolResults(t)) {
 		t.Error(bad)
 	}
 }
@@ -68,7 +82,7 @@ func TestDeliveryEquivalence(t *testing.T) {
 // delivered a sequence that is not a prefix of the agreed one.
 func TestSafetyGoldens(t *testing.T) {
 	results := goldenPoolResults(t)
-	for _, bad := range VerifySafetyGolden(goldenDir, results) {
+	for _, bad := range layer(t, "safety").Verify(goldenDir, results) {
 		t.Error(bad)
 	}
 	// The fault family must actually carry a digest — an experiment that
@@ -89,64 +103,37 @@ func TestSafetyGoldens(t *testing.T) {
 }
 
 // TestGoldenFilesMatchRegistry keeps testdata/golden and the registry in
-// sync: every deterministic experiment must have both an output pin and a
-// delivery pin, and every pin on disk must belong to a registered
-// experiment (no stale files after a rename).
+// sync: every deterministic experiment must have a pin on every layer that
+// is not optional (and fault experiments on the safety layer too), and
+// every pin on disk must belong to a registered experiment (no stale
+// files after a rename).
 func TestGoldenFilesMatchRegistry(t *testing.T) {
 	entries, err := os.ReadDir(goldenDir)
 	if err != nil {
 		t.Fatalf("golden dir missing: %v (run cmd/repro -update-golden)", err)
 	}
-	onDisk := map[string]bool{}       // output pins
-	delivOnDisk := map[string]bool{}  // delivery pins
-	safetyOnDisk := map[string]bool{} // safety pins (fault experiments only)
+	onDisk := map[string]bool{}
 	for _, e := range entries {
-		if id, ok := strings.CutSuffix(e.Name(), ".deliv.sha256"); ok {
-			delivOnDisk[id] = true
-			continue
-		}
-		if id, ok := strings.CutSuffix(e.Name(), ".safety.sha256"); ok {
-			safetyOnDisk[id] = true
-			continue
-		}
-		id, ok := strings.CutSuffix(e.Name(), ".sha256")
-		if !ok {
+		if !strings.HasSuffix(e.Name(), ".sha256") {
 			t.Errorf("unexpected file %s in %s", e.Name(), goldenDir)
-			continue
 		}
-		onDisk[id] = true
+		onDisk[e.Name()] = true
 	}
 	for _, e := range GoldenExperiments() {
-		if !onDisk[e.ID] {
-			t.Errorf("experiment %s has no output golden pin; run cmd/repro -update-golden", e.ID)
-		}
-		if !delivOnDisk[e.ID] {
-			t.Errorf("experiment %s has no delivery golden pin; run cmd/repro -update-golden", e.ID)
-		}
-		if strings.HasPrefix(e.ID, "fault.") && !safetyOnDisk[e.ID] {
-			t.Errorf("fault experiment %s has no safety golden pin; run cmd/repro -update-golden", e.ID)
-		}
-		delete(onDisk, e.ID)
-		delete(delivOnDisk, e.ID)
-		delete(safetyOnDisk, e.ID)
-		if h, err := ReadGolden(goldenDir, e.ID); err == nil && len(h) != 64 {
-			t.Errorf("output pin for %s is not a sha256 hex digest: %q", e.ID, h)
-		}
-		if h, err := ReadDelivGolden(goldenDir, e.ID); err == nil && len(h) != 64 {
-			t.Errorf("delivery pin for %s is not a sha256 hex digest: %q", e.ID, h)
-		}
-		if h, err := ReadSafetyGolden(goldenDir, e.ID); err == nil && len(h) != 64 {
-			t.Errorf("safety pin for %s is not a sha256 hex digest: %q", e.ID, h)
+		for _, l := range GoldenLayers {
+			name := filepath.Base(l.Path(goldenDir, e.ID))
+			h, err := l.Read(goldenDir, e.ID)
+			switch {
+			case err != nil && (!l.Optional || strings.HasPrefix(e.ID, "fault.")):
+				t.Errorf("experiment %s has no %s golden pin; run cmd/repro -update-golden", e.ID, l.Name)
+			case err == nil && len(h) != 64:
+				t.Errorf("%s pin for %s is not a sha256 hex digest: %q", l.Name, e.ID, h)
+			}
+			delete(onDisk, name)
 		}
 	}
-	for id := range onDisk {
-		t.Errorf("stale golden pin %s.sha256: no such experiment", id)
-	}
-	for id := range delivOnDisk {
-		t.Errorf("stale delivery pin %s.deliv.sha256: no such experiment", id)
-	}
-	for id := range safetyOnDisk {
-		t.Errorf("stale safety pin %s.safety.sha256: no such experiment", id)
+	for name := range onDisk {
+		t.Errorf("stale golden pin %s: no such experiment", name)
 	}
 }
 
@@ -163,7 +150,7 @@ const fig32SeedHash = "313fd52c4c14930422d4606fc4b14ae7a62205a58e0292d658e50da82
 // simulation cost: the committed fig3.2 pin (verified against a live run
 // by TestGoldenOutputs) must equal the seed kernel's hash.
 func TestFig32PinMatchesSeedKernel(t *testing.T) {
-	got, err := ReadGolden(goldenDir, "fig3.2")
+	got, err := layer(t, "output").Read(goldenDir, "fig3.2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,61 +161,49 @@ func TestFig32PinMatchesSeedKernel(t *testing.T) {
 	}
 }
 
-// TestGoldenRoundTrip exercises the read/write helpers on a temp dir.
-func TestGoldenRoundTrip(t *testing.T) {
+// TestGoldenLayerRoundTrip exercises Pin/Read/Verify on a temp dir for
+// every layer: the layers live side by side in one directory without
+// colliding, and each reports divergences in its own words.
+func TestGoldenLayerRoundTrip(t *testing.T) {
 	dir := t.TempDir() + "/nested/golden"
-	const id, hash = "fig9.9", "deadbeef"
-	if err := WriteGolden(dir, id, hash); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadGolden(dir, id)
-	if err != nil || got != hash {
-		t.Fatalf("ReadGolden = %q, %v; want %q", got, err, hash)
-	}
-	if _, err := ReadGolden(dir, "absent"); !os.IsNotExist(err) {
-		t.Errorf("missing pin error = %v, want not-exist", err)
-	}
-	bad := VerifyGolden(dir, []Result{
-		{ID: id, SHA256: hash},         // match
-		{ID: id, SHA256: "0000"},       // mismatch
-		{ID: "absent", SHA256: "1111"}, // no pin
-		{ID: "failed" /* no hash */},   // skipped
-	})
-	if len(bad) != 2 {
-		t.Fatalf("VerifyGolden reported %d divergences, want 2: %v", len(bad), bad)
-	}
-	if !strings.Contains(bad[0], "diverged") || !strings.Contains(bad[1], "no golden file") {
-		t.Errorf("unexpected divergence messages: %v", bad)
-	}
-}
-
-// TestDelivGoldenRoundTrip exercises the delivery-pin helpers: the two
-// layers live side by side in one directory without colliding.
-func TestDelivGoldenRoundTrip(t *testing.T) {
-	dir := t.TempDir()
 	const id = "fig9.9"
-	if err := WriteGolden(dir, id, "out-hash"); err != nil {
-		t.Fatal(err)
+	with := func(id, hash string) Result {
+		return Result{ID: id, SHA256: hash, DelivSHA256: hash, SafetySHA256: hash}
 	}
-	if err := WriteDelivGolden(dir, id, "deliv-hash"); err != nil {
-		t.Fatal(err)
+	for _, l := range GoldenLayers {
+		pin := l.Name + "-hash"
+		if wrote, err := l.Pin(dir, with(id, pin)); err != nil || !wrote {
+			t.Fatalf("%s Pin = %v, %v", l.Name, wrote, err)
+		}
+		if wrote, err := l.Pin(dir, Result{ID: "digestless"}); err != nil || wrote {
+			t.Fatalf("%s Pin of a result without a digest = %v, %v; want no pin", l.Name, wrote, err)
+		}
+		if _, err := l.Read(dir, "digestless"); !os.IsNotExist(err) {
+			t.Errorf("%s: missing pin error = %v, want not-exist", l.Name, err)
+		}
+		failed := with(id, "x")
+		failed.Err = io.EOF
+		bad := l.Verify(dir, []Result{
+			with(id, pin),        // match
+			with(id, "0000"),     // mismatch
+			with("absent", "11"), // no pin
+			{ID: id},             // no digest: skipped on an optional layer, reported otherwise
+			failed,               // failed run skipped
+		})
+		want := 3
+		if l.Optional {
+			want = 2
+		}
+		if len(bad) != want {
+			t.Fatalf("%s Verify reported %d divergences, want %d: %v", l.Name, len(bad), want, bad)
+		}
+		if !strings.Contains(bad[0], l.diverged) || !strings.Contains(bad[1], "no "+l.Name+" golden") {
+			t.Errorf("unexpected %s divergence messages: %v", l.Name, bad)
+		}
 	}
-	if got, err := ReadDelivGolden(dir, id); err != nil || got != "deliv-hash" {
-		t.Fatalf("ReadDelivGolden = %q, %v", got, err)
-	}
-	if got, _ := ReadGolden(dir, id); got != "out-hash" {
-		t.Fatalf("output pin clobbered by delivery pin: %q", got)
-	}
-	bad := VerifyDelivGolden(dir, []Result{
-		{ID: id, DelivSHA256: "deliv-hash"},  // match
-		{ID: id, DelivSHA256: "0000"},        // mismatch
-		{ID: "absent", DelivSHA256: "1111"},  // no pin
-		{ID: "failed" /* no deliv digest */}, // skipped
-	})
-	if len(bad) != 2 {
-		t.Fatalf("VerifyDelivGolden reported %d divergences, want 2: %v", len(bad), bad)
-	}
-	if !strings.Contains(bad[0], "DELIVERY SEQUENCE diverged") || !strings.Contains(bad[1], "no delivery golden") {
-		t.Errorf("unexpected divergence messages: %v", bad)
+	for _, l := range GoldenLayers {
+		if got, err := l.Read(dir, id); err != nil || got != l.Name+"-hash" {
+			t.Errorf("%s pin clobbered by a later layer: %q, %v", l.Name, got, err)
+		}
 	}
 }

@@ -13,18 +13,15 @@ import (
 
 // pump offers application messages of a fixed size at a fixed bit rate
 // through a submit callback (a proposer's Propose, a broadcaster's
-// Broadcast, ...). Intervals are mildly jittered so concurrent pumps don't
-// phase-lock.
+// Broadcast, ...).
 type pump struct {
 	size   int
 	rate   float64 // offered load in bits per second
 	submit func(core.Value)
-	jitter bool
 
-	env     proto.Env
-	seq     int64
-	stopped bool
-	tickFn  func() // bound once: ticks fire at MHz aggregate, no per-tick closure
+	env    proto.Env
+	seq    int64
+	tickFn func() // bound once: ticks fire at MHz aggregate, no per-tick closure
 }
 
 func (p *pump) Start(env proto.Env) {
@@ -35,10 +32,8 @@ func (p *pump) Start(env proto.Env) {
 
 func (p *pump) Receive(proto.NodeID, proto.Message) {}
 
-func (p *pump) Stop() { p.stopped = true }
-
 func (p *pump) tick() {
-	if p.stopped || p.rate <= 0 {
+	if p.rate <= 0 {
 		return
 	}
 	p.seq++
@@ -48,25 +43,16 @@ func (p *pump) tick() {
 		Born:  p.env.Now(),
 	})
 	interval := time.Duration(float64(p.size*8) / p.rate * float64(time.Second))
-	if p.jitter {
-		interval += time.Duration(p.env.Rand().Int63n(int64(interval)/4 + 1))
-	}
 	proto.AfterFree(p.env, interval, p.tickFn)
 }
 
 // abResult summarizes one atomic broadcast run, observed at a probe
 // learner.
 type abResult struct {
-	Mbps     float64
-	MsgsSec  float64
-	InstSec  float64
-	Lat      time.Duration
-	Drops    int64
-	CoordCPU float64 // busy fraction over the measured window
-	AccCPU   float64
-	LearnCPU float64
-	ProbeBuf int // probe learner buffer peak (bytes)
-	StoreB   int // acceptor store occupancy at end (bytes)
+	Mbps    float64
+	MsgsSec float64
+	InstSec float64
+	Lat     time.Duration
 }
 
 const (
@@ -75,338 +61,78 @@ const (
 )
 
 // runMRing deploys M-Ring Paxos with nRing ring acceptors and nLearn
-// learners, offering `offered` bits/s of msgSize messages from one
-// proposer node (plus more proposers when offered exceeds one NIC).
+// learners, offering `offered` bits/s of msgSize messages. gc is the
+// GCInterval knob (0 = protocol default, negative = off); figures pass 0,
+// the GC delivery-equivalence test sweeps it.
 func runMRing(rec *DelivRecorder, gc time.Duration, nRing, nLearn, msgSize int, offered float64, lc lan.Config, disk bool, dur time.Duration) abResult {
 	// Learners only bump counters at delivery, so batch arrays can recycle.
-	// gc is the GCInterval knob (0 = protocol default, negative = off);
-	// figures pass 0, the GC delivery-equivalence test sweeps it.
-	cfg := ringpaxos.MConfig{Group: 1, DiskSync: disk, RecycleBatches: true, GCInterval: gc}
-	dep := rec.Deployment()
-	for i := 0; i < nRing; i++ {
-		cfg.Ring = append(cfg.Ring, proto.NodeID(i))
-	}
-	for i := 0; i < nLearn; i++ {
-		cfg.Learners = append(cfg.Learners, proto.NodeID(100+i))
-	}
-	l := lan.New(lc, 1)
-	agents := map[proto.NodeID]*ringpaxos.MAgent{}
-	for _, id := range append(append([]proto.NodeID{}, cfg.Ring...), cfg.Learners...) {
-		a := &ringpaxos.MAgent{Cfg: cfg}
-		agents[id] = a
-		l.AddNode(id, a)
-		l.Subscribe(1, id)
-	}
-	for _, id := range cfg.Learners {
-		agents[id].Trace = dep.Learner(id)
-	}
+	cfg := ringpaxos.MConfig{Group: 1, DiskSync: disk, RecycleBatches: true, GCInterval: gc,
+		Ring: nodeIDs(0, nRing), Learners: nodeIDs(100, nLearn)}
 	// Spread offered load over enough proposers that no proposer NIC
 	// saturates.
-	nProp := int(offered/0.9e9) + 1
-	var pumps []*pump
-	for i := 0; i < nProp; i++ {
-		prop := &ringpaxos.MAgent{Cfg: cfg}
-		p := &pump{size: msgSize, rate: offered / float64(nProp), submit: prop.Propose}
-		pumps = append(pumps, p)
-		l.AddNode(proto.NodeID(200+i), proto.Multi(prop, p))
-	}
-	if p := Par(); p > 1 {
-		// One ring: its acceptors (ids < nRing) form LP 1; learners (100+)
-		// and proposers (200+) keep LP 0.
-		l.Partition(p, func(id proto.NodeID) int {
-			if int(id) < nRing {
-				return 1
-			}
-			return 0
-		})
-	}
-	l.Start()
-	return measureMRing(l, agents, cfg, pumps, dur)
-}
-
-func measureMRing(l *lan.LAN, agents map[proto.NodeID]*ringpaxos.MAgent, cfg ringpaxos.MConfig, pumps []*pump, dur time.Duration) abResult {
-	if dur == 0 {
-		dur = measure
-	}
-	probe := agents[cfg.Learners[0]]
-	coord := l.Node(cfg.Coordinator())
-	acc := l.Node(cfg.Ring[0])
-	learnNode := l.Node(cfg.Learners[0])
-	l.Run(warmup)
-	b0, m0, i0 := probe.DeliveredBytes, probe.DeliveredMsgs, probe.NextDeliver()
-	ls0, lc0 := probe.LatencySum, probe.LatencyCount
-	cc0, ac0, lc2 := coord.CPUBusy(), acc.CPUBusy(), learnNode.CPUBusy()
-	drops0 := totalDrops(l, cfg.Learners)
-	l.Run(dur)
-	res := abResult{
-		Mbps:     mbps(probe.DeliveredBytes-b0, dur),
-		MsgsSec:  float64(probe.DeliveredMsgs-m0) / dur.Seconds(),
-		InstSec:  float64(probe.NextDeliver()-i0) / dur.Seconds(),
-		Drops:    totalDrops(l, cfg.Learners) - drops0,
-		CoordCPU: float64(coord.CPUBusy()-cc0) / float64(dur),
-		AccCPU:   float64(acc.CPUBusy()-ac0) / float64(dur),
-		LearnCPU: float64(learnNode.CPUBusy()-lc2) / float64(dur),
-		ProbeBuf: learnNode.BufferPeak(),
-		StoreB:   agents[cfg.Ring[0]].StoreBytes(),
-	}
-	if n := probe.LatencyCount - lc0; n > 0 {
-		res.Lat = (probe.LatencySum - ls0) / time.Duration(n)
-	}
-	for _, p := range pumps {
-		p.Stop()
-	}
-	return res
-}
-
-func totalDrops(l *lan.LAN, learners []proto.NodeID) int64 {
-	var d int64
-	for _, id := range learners {
-		d += l.Node(id).Stats().MsgsDropped
-	}
-	return d
+	ld := load{size: msgSize, rate: offered, n: int(offered/0.9e9) + 1}
+	return buildMRing(cfg, rigSpec{dep: rec.Deployment(), net: lc, load: ld}).measureAB(dur)
 }
 
 // runURing deploys U-Ring Paxos with n processes (all proposer, acceptor
-// and learner), every process offering offered/n bits per second.
+// and learner). Load enters at the coordinator (the paper's best-located
+// proposer): each value then crosses every link exactly once — U-Ring
+// Paxos's throughput economy (§3.5.4).
 func runURing(rec *DelivRecorder, gc time.Duration, n, msgSize int, offered float64, lc lan.Config, disk bool, dur time.Duration) abResult {
-	cfg := ringpaxos.UConfig{DiskSync: disk, GCInterval: gc}
-	dep := rec.Deployment()
-	for i := 0; i < n; i++ {
-		cfg.Ring = append(cfg.Ring, proto.NodeID(i))
-		cfg.Learners = append(cfg.Learners, proto.NodeID(i))
-	}
-	l := lan.New(lc, 1)
-	agents := make([]*ringpaxos.UAgent, n)
-	var pumps []*pump
-	for i := 0; i < n; i++ {
-		agents[i] = &ringpaxos.UAgent{Cfg: cfg}
-		agents[i].Trace = dep.Learner(proto.NodeID(i))
-		var hs []proto.Handler
-		hs = append(hs, agents[i])
-		if i == 0 {
-			// Load enters at the coordinator (the paper's best-located
-			// proposer): each value then crosses every link exactly once —
-			// U-Ring Paxos's throughput economy (§3.5.4).
-			p := &pump{size: msgSize, rate: offered, submit: agents[i].Propose}
-			pumps = append(pumps, p)
-			hs = append(hs, p)
-		}
-		l.AddNode(proto.NodeID(i), proto.Multi(hs...))
-	}
-	l.Start()
-	if dur == 0 {
-		dur = measure
-	}
-	probe := agents[n-1]
-	coord := l.Node(cfg.Coordinator())
-	l.Run(warmup)
-	b0, m0, i0 := probe.DeliveredBytes, probe.DeliveredMsgs, probe.NextDeliver()
-	ls0, lcnt0 := probe.LatencySum, probe.LatencyCount
-	cc0 := coord.CPUBusy()
-	l.Run(dur)
-	res := abResult{
-		Mbps:     mbps(probe.DeliveredBytes-b0, dur),
-		MsgsSec:  float64(probe.DeliveredMsgs-m0) / dur.Seconds(),
-		InstSec:  float64(probe.NextDeliver()-i0) / dur.Seconds(),
-		CoordCPU: float64(coord.CPUBusy()-cc0) / float64(dur),
-	}
-	if n := probe.LatencyCount - lcnt0; n > 0 {
-		res.Lat = (probe.LatencySum - ls0) / time.Duration(n)
-	}
-	for _, p := range pumps {
-		p.Stop()
-	}
-	return res
+	cfg := ringpaxos.UConfig{DiskSync: disk, GCInterval: gc, Ring: nodeIDs(0, n), Learners: nodeIDs(0, n)}
+	return buildURing(cfg, rigSpec{dep: rec.Deployment(), net: lc, load: load{size: msgSize, rate: offered}}).measureAB(dur)
 }
 
 // runLCR deploys LCR with n processes, all broadcasting.
 func runLCR(rec *DelivRecorder, n, msgSize int, offered float64, lc lan.Config, disk bool, dur time.Duration) abResult {
-	dep := rec.Deployment()
-	var ring []proto.NodeID
-	for i := 0; i < n; i++ {
-		ring = append(ring, proto.NodeID(i))
+	dep, ring := rec.Deployment(), nodeIDs(0, n)
+	r := &rig{l: lan.New(lc, 1)}
+	var a *abcast.LCR
+	for _, id := range ring {
+		a = &abcast.LCR{Ring: ring, DiskSync: disk, Trace: dep.Learner(id)}
+		p := &pump{size: msgSize, rate: offered / float64(n), submit: a.Broadcast}
+		r.l.AddNode(id, proto.Multi(a, p))
 	}
-	l := lan.New(lc, 1)
-	agents := make([]*abcast.LCR, n)
-	var pumps []*pump
-	for i := 0; i < n; i++ {
-		agents[i] = &abcast.LCR{Ring: ring, DiskSync: disk}
-		agents[i].Trace = dep.Learner(proto.NodeID(i))
-		p := &pump{size: msgSize, rate: offered / float64(n), submit: agents[i].Broadcast}
-		pumps = append(pumps, p)
-		l.AddNode(proto.NodeID(i), proto.Multi(agents[i], p))
-	}
-	l.Start()
-	if dur == 0 {
-		dur = measure
-	}
-	probe := agents[n-1]
-	l.Run(warmup)
-	b0, m0 := probe.DeliveredBytes, probe.DeliveredMsgs
-	ls0, lcnt0 := probe.LatencySum, probe.LatencyCount
-	l.Run(dur)
-	res := abResult{
-		Mbps:    mbps(probe.DeliveredBytes-b0, dur),
-		MsgsSec: float64(probe.DeliveredMsgs-m0) / dur.Seconds(),
-	}
-	if k := probe.LatencyCount - lcnt0; k > 0 {
-		res.Lat = (probe.LatencySum - ls0) / time.Duration(k)
-	}
-	for _, p := range pumps {
-		p.Stop()
-	}
-	return res
+	r.probe = counters(&a.DeliveredBytes, &a.DeliveredMsgs, &a.LatencySum, &a.LatencyCount, nil)
+	r.l.Start()
+	return r.measureAB(dur)
 }
 
 // runToken deploys the Totem-style token ring (Spread stand-in).
 func runToken(rec *DelivRecorder, n, msgSize int, offered float64, lc lan.Config, dur time.Duration) abResult {
-	dep := rec.Deployment()
-	var ring []proto.NodeID
-	for i := 0; i < n; i++ {
-		ring = append(ring, proto.NodeID(i))
-	}
-	l := lan.New(lc, 1)
-	agents := make([]*abcast.TokenRing, n)
-	var pumps []*pump
-	for i := 0; i < n; i++ {
-		agents[i] = &abcast.TokenRing{Ring: ring, Group: 1, DaemonCost: 20 * time.Microsecond}
-		agents[i].Trace = dep.Learner(proto.NodeID(i))
-		p := &pump{size: msgSize, rate: offered / float64(n), submit: agents[i].Broadcast}
-		pumps = append(pumps, p)
+	dep, ring := rec.Deployment(), nodeIDs(0, n)
+	r := &rig{l: lan.New(lc, 1)}
+	var a *abcast.TokenRing
+	for _, id := range ring {
+		a = &abcast.TokenRing{Ring: ring, Group: 1, DaemonCost: 20 * time.Microsecond, Trace: dep.Learner(id)}
+		p := &pump{size: msgSize, rate: offered / float64(n), submit: a.Broadcast}
 		// Spread daemons are the system's CPU bottleneck (Table 3.2: 18%
 		// efficiency); model them as slower processing stacks.
-		l.AddNodeWithConfig(proto.NodeID(i), proto.Multi(agents[i], p),
-			lan.NodeConfig{CPUScale: 0.2, BandwidthScale: 1})
-		l.Subscribe(1, proto.NodeID(i))
+		r.l.AddNodeWithConfig(id, proto.Multi(a, p), lan.NodeConfig{CPUScale: 0.2, BandwidthScale: 1})
+		r.l.Subscribe(1, id)
 	}
-	l.Start()
-	if dur == 0 {
-		dur = measure
-	}
-	probe := agents[n-1]
-	l.Run(warmup)
-	b0, m0 := probe.DeliveredBytes, probe.DeliveredMsgs
-	ls0, lcnt0 := probe.LatencySum, probe.LatencyCount
-	l.Run(dur)
-	res := abResult{
-		Mbps:    mbps(probe.DeliveredBytes-b0, dur),
-		MsgsSec: float64(probe.DeliveredMsgs-m0) / dur.Seconds(),
-	}
-	if k := probe.LatencyCount - lcnt0; k > 0 {
-		res.Lat = (probe.LatencySum - ls0) / time.Duration(k)
-	}
-	for _, p := range pumps {
-		p.Stop()
-	}
-	return res
+	r.probe = counters(&a.DeliveredBytes, &a.DeliveredMsgs, &a.LatencySum, &a.LatencyCount, nil)
+	r.l.Start()
+	return r.measureAB(dur)
 }
 
 // runSPaxos deploys S-Paxos with n replicas; clients spread over replicas.
 func runSPaxos(rec *DelivRecorder, gc time.Duration, n, msgSize int, offered float64, lc lan.Config, dur time.Duration) abResult {
-	dep := rec.Deployment()
-	var reps []proto.NodeID
-	for i := 0; i < n; i++ {
-		reps = append(reps, proto.NodeID(i))
-	}
-	l := lan.New(lc, 1)
-	agents := make([]*abcast.SPaxos, n)
-	var pumps []*pump
-	for i := 0; i < n; i++ {
-		agents[i] = &abcast.SPaxos{Replicas: reps, GCJitter: 2 * time.Millisecond, GCInterval: gc}
-		agents[i].Trace = dep.Learner(proto.NodeID(i))
-		p := &pump{size: msgSize, rate: offered / float64(n), submit: agents[i].Submit}
-		pumps = append(pumps, p)
-		// S-Paxos replicas are CPU-intensive (the paper measures ~270% of
-		// a core across threads; Table 3.2 caps it at 31% efficiency).
-		l.AddNodeWithConfig(proto.NodeID(i), proto.Multi(agents[i], p),
-			lan.NodeConfig{CPUScale: 0.25, BandwidthScale: 1})
-	}
-	l.Start()
-	if dur == 0 {
-		dur = measure
-	}
-	probe := agents[n-1]
-	l.Run(warmup)
-	b0, m0 := probe.DeliveredBytes, probe.DeliveredMsgs
-	ls0, lcnt0 := probe.LatencySum, probe.LatencyCount
-	l.Run(dur)
-	res := abResult{
-		Mbps:    mbps(probe.DeliveredBytes-b0, dur),
-		MsgsSec: float64(probe.DeliveredMsgs-m0) / dur.Seconds(),
-	}
-	if k := probe.LatencyCount - lcnt0; k > 0 {
-		res.Lat = (probe.LatencySum - ls0) / time.Duration(k)
-	}
-	for _, p := range pumps {
-		p.Stop()
-	}
-	return res
+	tmpl := abcast.SPaxos{Replicas: nodeIDs(0, n), GCJitter: 2 * time.Millisecond, GCInterval: gc}
+	// S-Paxos replicas are CPU-intensive (the paper measures ~270% of a
+	// core across threads; Table 3.2 caps it at 31% efficiency).
+	slowStack := func(int) lan.NodeConfig { return lan.NodeConfig{CPUScale: 0.25, BandwidthScale: 1} }
+	return buildSPaxos(tmpl, rigSpec{dep: rec.Deployment(), net: lc, node: slowStack,
+		load: load{size: msgSize, rate: offered}}).measureAB(dur)
 }
 
 // runPaxos deploys basic Paxos: multicast wiring = Libpaxos, unicast = PFSB.
 func runPaxos(rec *DelivRecorder, gc time.Duration, nAcc, nLearn, msgSize int, multicast bool, offered float64, lc lan.Config, dur time.Duration) abResult {
-	cfg := paxos.Config{Coordinator: 0, Multicast: multicast, Group: 1, GCInterval: gc}
-	dep := rec.Deployment()
 	// The era's Libpaxos pipelines only a handful of instances, one of the
 	// reasons the paper measures it at ~3% efficiency.
-	cfg.Window = 4
-	for i := 0; i < nAcc; i++ {
-		cfg.Acceptors = append(cfg.Acceptors, proto.NodeID(i))
-	}
-	for i := 0; i < nLearn; i++ {
-		cfg.Learners = append(cfg.Learners, proto.NodeID(100+i))
-	}
-	l := lan.New(lc, 1)
-	var delivered int64
-	var deliveredMsgs int64
-	var latSum time.Duration
-	var latN int64
-	probeID := cfg.Learners[0]
-	for i, id := range append(append([]proto.NodeID{}, cfg.Acceptors...), cfg.Learners...) {
-		a := &paxos.Agent{Cfg: cfg}
-		if i >= nAcc { // positions past the acceptors are the learners
-			a.Trace = dep.Learner(id)
-		}
-		if id == probeID {
-			node := id
-			_ = node
-			a.Deliver = func(_ int64, v core.Value) {
-				delivered += int64(v.Bytes)
-				deliveredMsgs++
-				if v.Born != 0 {
-					latSum += l.Node(probeID).Now() - v.Born
-					latN++
-				}
-			}
-		}
-		l.AddNode(id, a)
-		if multicast {
-			l.Subscribe(1, id)
-		}
-	}
-	prop := &paxos.Agent{Cfg: cfg}
-	p := &pump{size: msgSize, rate: offered, submit: prop.Propose}
-	l.AddNode(200, proto.Multi(prop, p))
-	l.Start()
-	if dur == 0 {
-		dur = measure
-	}
-	coord := l.Node(0)
-	l.Run(warmup)
-	b0, m0 := delivered, deliveredMsgs
-	ls0, ln0 := latSum, latN
-	cc0 := coord.CPUBusy()
-	l.Run(dur)
-	res := abResult{
-		Mbps:     mbps(delivered-b0, dur),
-		MsgsSec:  float64(deliveredMsgs-m0) / dur.Seconds(),
-		CoordCPU: float64(coord.CPUBusy()-cc0) / float64(dur),
-	}
-	if k := latN - ln0; k > 0 {
-		res.Lat = (latSum - ls0) / time.Duration(k)
-	}
-	p.Stop()
-	return res
+	cfg := paxos.Config{Coordinator: 0, Multicast: multicast, Group: 1, GCInterval: gc, Window: 4,
+		Acceptors: nodeIDs(0, nAcc), Learners: nodeIDs(100, nLearn)}
+	return buildPaxos(cfg, rigSpec{dep: rec.Deployment(), net: lc, load: load{size: msgSize, rate: offered}}).measureAB(dur)
 }
 
 // bestOf sweeps offered loads and returns the best delivered result.

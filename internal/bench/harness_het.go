@@ -4,10 +4,8 @@ import (
 	"time"
 
 	"repro/internal/abcast"
-	"repro/internal/core"
 	"repro/internal/lan"
 	"repro/internal/paxos"
-	"repro/internal/proto"
 	"repro/internal/ringpaxos"
 )
 
@@ -15,118 +13,38 @@ import (
 // heterogeneous runs.
 const slowScale = 0.4
 
-func nodeCfg(i, slow int) lan.NodeConfig {
-	if i == slow {
-		return lan.NodeConfig{CPUScale: slowScale, BandwidthScale: 0.5}
+// slowNode puts the protocol node at position slow (ring position,
+// replica or acceptor index; 0 is the leader/coordinator, -1 nobody) on a
+// small instance.
+func slowNode(slow int) func(int) lan.NodeConfig {
+	return func(i int) lan.NodeConfig {
+		if i == slow {
+			return lan.NodeConfig{CPUScale: slowScale, BandwidthScale: 0.5}
+		}
+		return stockNode
 	}
-	return lan.NodeConfig{CPUScale: 1, BandwidthScale: 1}
 }
 
-// runSPaxosHet is runSPaxos with replica `slow` on a small instance.
 func runSPaxosHet(rec *DelivRecorder, n, msgSize int, offered float64, lc lan.Config, slow int) abResult {
-	dep := rec.Deployment()
-	var reps []proto.NodeID
-	for i := 0; i < n; i++ {
-		reps = append(reps, proto.NodeID(i))
-	}
-	l := lan.New(lc, 1)
-	agents := make([]*abcast.SPaxos, n)
-	for i := 0; i < n; i++ {
-		agents[i] = &abcast.SPaxos{Replicas: reps}
-		agents[i].Trace = dep.Learner(proto.NodeID(i))
-		p := &pump{size: msgSize, rate: offered / float64(n), submit: agents[i].Submit}
-		l.AddNodeWithConfig(proto.NodeID(i), proto.Multi(agents[i], p), nodeCfg(i, slow))
-	}
-	l.Start()
-	probe := agents[n-1]
-	l.Run(warmup)
-	b0 := probe.DeliveredBytes
-	l.Run(measure)
-	return abResult{Mbps: mbps(probe.DeliveredBytes-b0, measure)}
+	return buildSPaxos(abcast.SPaxos{Replicas: nodeIDs(0, n)}, rigSpec{dep: rec.Deployment(), net: lc,
+		node: slowNode(slow), load: load{size: msgSize, rate: offered}}).measureAB(0)
 }
 
-// runURingHet is runURing with ring position `slow` on a small instance.
 func runURingHet(rec *DelivRecorder, n, msgSize int, offered float64, lc lan.Config, slow int) abResult {
-	dep := rec.Deployment()
-	cfg := ringpaxos.UConfig{}
-	for i := 0; i < n; i++ {
-		cfg.Ring = append(cfg.Ring, proto.NodeID(i))
-		cfg.Learners = append(cfg.Learners, proto.NodeID(i))
-	}
-	l := lan.New(lc, 1)
-	agents := make([]*ringpaxos.UAgent, n)
-	for i := 0; i < n; i++ {
-		agents[i] = &ringpaxos.UAgent{Cfg: cfg}
-		agents[i].Trace = dep.Learner(proto.NodeID(i))
-		var hs []proto.Handler
-		hs = append(hs, agents[i])
-		if i == 0 {
-			hs = append(hs, &pump{size: msgSize, rate: offered, submit: agents[i].Propose})
-		}
-		l.AddNodeWithConfig(proto.NodeID(i), proto.Multi(hs...), nodeCfg(i, slow))
-	}
-	l.Start()
-	probe := agents[n-1]
-	l.Run(warmup)
-	b0 := probe.DeliveredBytes
-	l.Run(measure)
-	return abResult{Mbps: mbps(probe.DeliveredBytes-b0, measure)}
+	cfg := ringpaxos.UConfig{Ring: nodeIDs(0, n), Learners: nodeIDs(0, n)}
+	return buildURing(cfg, rigSpec{dep: rec.Deployment(), net: lc,
+		node: slowNode(slow), load: load{size: msgSize, rate: offered}}).measureAB(0)
 }
 
-// runPaxosHet is runPaxos with acceptor `slow` on a small instance
-// (slow == 0 slows the leader).
-func runPaxosHet(rec *DelivRecorder, nAcc, nLearn, msgSize int, multicast bool, offered float64, lc lan.Config, slow int) abResult {
-	return paxosHet(rec, nAcc, nLearn, msgSize, multicast, offered, lc, slow, 0)
-}
-
-// runPaxosBatchedHet is the Libpaxos+ variant: same protocol with batching
-// enabled at the coordinator (Chapter 7 proposes batching as the fix).
-func runPaxosBatchedHet(rec *DelivRecorder, nAcc, nLearn, msgSize int, offered float64, lc lan.Config, slow int) abResult {
-	return paxosHet(rec, nAcc, nLearn, msgSize, true, offered, lc, slow, 32<<10)
-}
-
-func paxosHet(rec *DelivRecorder, nAcc, nLearn, msgSize int, multicast bool, offered float64, lc lan.Config, slow, batch int) abResult {
-	cfg := paxos.Config{Coordinator: 0, Multicast: multicast, Group: 1}
-	dep := rec.Deployment()
-	if batch > 0 {
-		cfg.BatchBytes = batch
-	} else {
-		// Unbatched: one instance per client value.
-		cfg.BatchBytes = 1
-		cfg.BatchDelay = time.Microsecond
+// runPaxosHet runs basic Paxos with batch bytes per instance: 0 is the
+// unbatched library (one instance per client value), 32 KB the Libpaxos+
+// variant (Chapter 7 proposes batching as the fix).
+func runPaxosHet(rec *DelivRecorder, nAcc, nLearn, msgSize int, multicast bool, offered float64, lc lan.Config, slow, batch int) abResult {
+	cfg := paxos.Config{Coordinator: 0, Multicast: multicast, Group: 1, BatchBytes: batch,
+		Acceptors: nodeIDs(0, nAcc), Learners: nodeIDs(100, nLearn)}
+	if batch == 0 {
+		cfg.BatchBytes, cfg.BatchDelay = 1, time.Microsecond
 	}
-	for i := 0; i < nAcc; i++ {
-		cfg.Acceptors = append(cfg.Acceptors, proto.NodeID(i))
-	}
-	for i := 0; i < nLearn; i++ {
-		cfg.Learners = append(cfg.Learners, proto.NodeID(100+i))
-	}
-	l := lan.New(lc, 1)
-	var delivered int64
-	probeID := cfg.Learners[0]
-	for i, id := range append(append([]proto.NodeID{}, cfg.Acceptors...), cfg.Learners...) {
-		a := &paxos.Agent{Cfg: cfg}
-		if i >= nAcc {
-			a.Trace = dep.Learner(id)
-		}
-		if id == probeID {
-			a.Deliver = func(_ int64, v core.Value) { delivered += int64(v.Bytes) }
-		}
-		nc := lan.NodeConfig{CPUScale: 1, BandwidthScale: 1}
-		if i < nAcc {
-			nc = nodeCfg(i, slow)
-		}
-		l.AddNodeWithConfig(id, a, nc)
-		if multicast {
-			l.Subscribe(1, id)
-		}
-	}
-	prop := &paxos.Agent{Cfg: cfg}
-	p := &pump{size: msgSize, rate: offered, submit: prop.Propose}
-	l.AddNode(200, proto.Multi(prop, p))
-	l.Start()
-	l.Run(warmup)
-	b0 := delivered
-	l.Run(measure)
-	return abResult{Mbps: mbps(delivered-b0, measure)}
+	return buildPaxos(cfg, rigSpec{dep: rec.Deployment(), net: lc,
+		node: slowNode(slow), load: load{size: msgSize, rate: offered}}).measureAB(0)
 }

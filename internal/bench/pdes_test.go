@@ -71,7 +71,7 @@ func TestParOverlapGate(t *testing.T) {
 // TestParExperimentHashEquivalence re-runs a registered multi-ring
 // experiment under partitioning and requires both golden layers — the full
 // output hash and the delivery digest — to be byte-identical to the
-// sequential run. This is the same property cmd/repro -par N -verify-golden
+// sequential run. This is the same property cmd/repro -par N -verify
 // checks across the whole registry; pinning one experiment here keeps the
 // property under plain `go test`.
 func TestParExperimentHashEquivalence(t *testing.T) {

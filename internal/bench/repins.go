@@ -12,20 +12,19 @@ package bench
 // Entries describe the most recent deliberate re-pin only; a future
 // re-pin replaces the map wholesale (git history keeps the past).
 //
-// The current re-pin covers a single experiment: a U-Ring takeover now
-// circulates the reconfigured ring layout BEFORE re-proposing the
-// adopted instances. Previously the re-proposed decisions could reach a
-// member still holding the pre-failure layout, get forwarded to the
-// dead node and vanish — leaving the new coordinator's window
-// permanently exhausted whenever the adopted backlog exceeded Window
-// (exposed by the closed-loop exactly-once client family, whose GC lag
-// piles up more un-trimmed instances than the pump workloads). The
-// post-takeover message timeline shifted; the delivery and safety
-// digests stayed byte-identical.
-const repinURingTakeover = "U-Ring takeover circulates the ring change before re-proposing adopted instances, so their decisions cannot be forwarded to the dead node by stale-layout members"
+// The current re-pin covers a single experiment: basic Paxos in the
+// multicast wiring no longer pools the Phase 2B it sends over SendUDP.
+// The fault layer's 1% datagram duplication delivered the same pointer to
+// the coordinator twice; the first delivery recycled it, so the duplicate
+// was read after it had been zeroed or handed to another sender. The old
+// pin (f8b34197…) was that use-after-recycle schedule and only reproduced
+// while sync.Pool kept handing the same object back; the new one
+// (922f7a87…) is what a never-recycled 2B produces every time. The
+// delivery and safety digests stayed byte-identical.
+const repinPaxos2B = "multicast-mode Phase 2B is no longer pooled: a duplicated datagram was recycled on first delivery and read again after reuse (use-after-recycle), which also made the old pin flaky under GC pressure"
 
 var outputRepins = map[string]string{
-	"fault.failover.uring": repinURingTakeover,
+	"fault.paxos": repinPaxos2B,
 }
 
 // RepinNote returns the provenance note for an experiment whose output
@@ -41,12 +40,7 @@ func RepinNote(id string) (string, bool) {
 // family measures and why its digests look the way they do. Like
 // outputRepins, a future PR that adds experiments replaces the map
 // wholesale.
-const addedClient = "new in the exactly-once client PR: permanent coordinator kill per seed, run twice (no-retry control loses exactly one command: unacked=1; retry+redirect+dedup completes every command: unacked=0 dups=0); safety digest pins both verdicts via the oracle's at-most-once extension, seed- and -par-invariant"
-
-var outputAdded = map[string]string{
-	"fault.client.mring": addedClient,
-	"fault.client.uring": addedClient,
-}
+var outputAdded = map[string]string{}
 
 // AddedNote returns the provenance note for an experiment whose goldens
 // were first pinned in the most recent PR.

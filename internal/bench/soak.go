@@ -25,19 +25,80 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/abcast"
-	"repro/internal/core"
-	"repro/internal/lan"
 	"repro/internal/paxos"
 	"repro/internal/proto"
-	"repro/internal/ringpaxos"
 )
 
-func init() {
-	register(Experiment{ID: "soak.mring", Title: "M-Ring Paxos 10 s soak: live log records, GC on vs off", Traced: runSoakMRing})
-	register(Experiment{ID: "soak.uring", Title: "U-Ring Paxos 10 s soak: live log records, GC on vs off", Traced: runSoakURing})
-	register(Experiment{ID: "soak.paxos", Title: "basic Paxos 10 s soak: live log records, GC on vs off", Traced: runSoakPaxos})
-	register(Experiment{ID: "soak.spaxos", Title: "S-Paxos 10 s soak: live log records, GC on vs off", Traced: runSoakSPaxos})
+// soakVariants are the two runs of every soak, in run order. The first
+// exercises the on-by-default path (a zero GCInterval resolves to the
+// protocol's default, 50 ms); the control opts out with the explicit -1.
+var soakVariants = []variant{{name: "gc"}, {name: "nogc", edit: gcOff}}
+
+var soakFamilies = []family{
+	{
+		id:     "soak.mring",
+		title:  "M-Ring Paxos 10 s soak: live log records, GC on vs off",
+		head:   "soak.mring — M-Ring Paxos, 20 Mbps of 1 KB values for 10 s",
+		deploy: soakMRing, variants: soakVariants,
+	},
+	{
+		id:     "soak.uring",
+		title:  "U-Ring Paxos 10 s soak: live log records, GC on vs off",
+		head:   "soak.uring — U-Ring Paxos (3 acceptors, 4-process ring), 20 Mbps of 1 KB values for 10 s",
+		deploy: soakURing, variants: soakVariants,
+	},
+	{
+		id:     "soak.paxos",
+		title:  "basic Paxos 10 s soak: live log records, GC on vs off",
+		head:   "soak.paxos — basic Paxos (3 acceptors, 2 learners, unicast), 10 Mbps of 512 B values for 10 s",
+		deploy: soakPaxos, variants: soakVariants,
+	},
+	{
+		id:     "soak.spaxos",
+		title:  "S-Paxos 10 s soak: live log records, GC on vs off",
+		head:   "soak.spaxos — S-Paxos (3 replicas), 10 Mbps of 512 B values for 10 s",
+		deploy: faultSPaxos, variants: soakVariants,
+	},
+}
+
+// soakMRing is the M-Ring deployment the Chapter 3 figures use (ring of
+// 2) — default Retry included: the learner timer-chain multiplication
+// that once forced a tamer Retry here is fixed (one persistent version
+// chain per learner, see armLearnerTimers).
+func soakMRing() deploySpec {
+	d := faultMRing()
+	d.mring.Ring = []proto.NodeID{0, 1}
+	return d
+}
+
+func soakURing() deploySpec {
+	d := faultURing()
+	d.uring.RecycleBatches = true
+	return d
+}
+
+// soakPaxos is faultPaxos's cluster in the unicast wiring with the
+// default window.
+func soakPaxos() deploySpec {
+	d := faultPaxos()
+	d.paxos = &paxos.Config{Coordinator: 0, RecycleBatches: true, Acceptors: d.paxos.Acceptors, Learners: d.paxos.Learners}
+	return d
+}
+
+// gcOff disables the shared log garbage collection (and with it the batch
+// recycling that depends on trimmed instances; M-Ring's recycling predates
+// the shared subsystem and stays on).
+func gcOff(d *deploySpec) {
+	switch {
+	case d.mring != nil:
+		d.mring.GCInterval = -1
+	case d.uring != nil:
+		d.uring.GCInterval, d.uring.RecycleBatches = -1, false
+	case d.paxos != nil:
+		d.paxos.GCInterval, d.paxos.RecycleBatches = -1, false
+	default:
+		d.spaxos.GCInterval = -1
+	}
 }
 
 const (
@@ -80,21 +141,31 @@ type soakSample struct {
 	delivered int64
 }
 
-// soakRun drives one deployment for soakDur, sampling every soakStep.
-// When id is non-empty the samples also feed the heap side channel (only
-// the GC-enabled variant passes an id: the ceiling must assert on the
-// bounded configuration, not on the deliberately leaky control).
-func soakRun(l *lan.LAN, id string, live func() int, delivered func() int64) []soakSample {
-	samples := make([]soakSample, 0, int(soakDur/soakStep))
-	for t := soakStep; t <= soakDur; t += soakStep {
-		l.Run(soakStep)
-		s := soakSample{live: live(), delivered: delivered()}
-		samples = append(samples, s)
-		if id != "" {
-			noteSoak(id, s.live)
+// runSoak drives a soak family's deployment for soakDur once per variant,
+// sampling every soakStep. Only the GC-enabled run feeds the heap side
+// channel: the ceiling must assert on the bounded configuration, not on
+// the deliberately leaky control.
+func runSoak(w io.Writer, rec *DelivRecorder, f *family) {
+	var series [][]soakSample
+	for i, v := range f.variants {
+		d := f.deploy()
+		d.dep = rec.Deployment()
+		if v.edit != nil {
+			v.edit(&d)
 		}
+		rig := d.build()
+		samples := make([]soakSample, 0, int(soakDur/soakStep))
+		for t := soakStep; t <= soakDur; t += soakStep {
+			rig.l.Run(soakStep)
+			s := soakSample{live: rig.live(), delivered: rig.probe().msgs}
+			samples = append(samples, s)
+			if i == 0 {
+				noteSoak(f.id, s.live)
+			}
+		}
+		series = append(series, samples)
 	}
-	return samples
+	soakReport(w, f.head, series[0], series[1])
 }
 
 // soakReport prints the combined gc-on/gc-off table plus the flatness
@@ -126,184 +197,4 @@ func soakReport(w io.Writer, title string, on, off []soakSample) {
 	t.note("gc=off control: final %d live records (one per undelivered-from-log instance, growing with elapsed time)", offFinal)
 	t.note("bounded-memory check: %s (final %d <= 2x early peak %d + 32)", verdict, final, earlyPeak)
 	t.print(w)
-}
-
-// --- deployments ---
-
-// soakMRing wires the same M-Ring deployment the Chapter 3 figures use
-// — default Retry included: the learner timer-chain multiplication that
-// once forced a tamer Retry here is fixed (one persistent version chain
-// per learner, see armLearnerTimers) — and returns its sampling hooks.
-func soakMRing(dep *DelivDeployment, gcInterval time.Duration) (*lan.LAN, func() int, func() int64) {
-	cfg := ringpaxos.MConfig{
-		Group:          1,
-		GCInterval:     gcInterval,
-		RecycleBatches: true,
-	}
-	cfg.Ring = []proto.NodeID{0, 1}
-	cfg.Learners = []proto.NodeID{100, 101}
-	l := lan.New(lan.DefaultConfig(), 1)
-	var agents []*ringpaxos.MAgent
-	for _, id := range append(append([]proto.NodeID{}, cfg.Ring...), cfg.Learners...) {
-		a := &ringpaxos.MAgent{Cfg: cfg}
-		agents = append(agents, a)
-		l.AddNode(id, a)
-		l.Subscribe(1, id)
-	}
-	for i, id := range cfg.Learners {
-		agents[len(cfg.Ring)+i].Trace = dep.Learner(id)
-	}
-	prop := &ringpaxos.MAgent{Cfg: cfg}
-	p := &pump{size: 1024, rate: 20e6, submit: prop.Propose}
-	l.AddNode(200, proto.Multi(prop, p))
-	l.Start()
-	probe := agents[2]
-	live := func() int {
-		n := 0
-		for _, a := range agents {
-			n += a.LiveLogLen()
-		}
-		return n
-	}
-	return l, live, func() int64 { return probe.DeliveredMsgs }
-}
-
-func runSoakMRing(w io.Writer, rec *DelivRecorder) {
-	// M-Ring GC is always on (it predates the shared subsystem); the
-	// control opts out with the explicit -1 interval.
-	lOn, liveOn, delOn := soakMRing(rec.Deployment(), 0) // 0 = the 50 ms default
-	on := soakRun(lOn, "soak.mring", liveOn, delOn)
-	lOff, liveOff, delOff := soakMRing(rec.Deployment(), -1)
-	off := soakRun(lOff, "", liveOff, delOff)
-	soakReport(w, "soak.mring — M-Ring Paxos, 20 Mbps of 1 KB values for 10 s", on, off)
-}
-
-func soakURing(dep *DelivDeployment, gc bool) (*lan.LAN, func() int, func() int64) {
-	// gc=true exercises the on-by-default path (zero GCInterval resolves
-	// to DefaultGCInterval); the control opts out with the explicit -1.
-	cfg := ringpaxos.UConfig{NumAcceptors: 3}
-	if gc {
-		cfg.RecycleBatches = true
-	} else {
-		cfg.GCInterval = -1
-	}
-	const n = 4
-	for i := 0; i < n; i++ {
-		cfg.Ring = append(cfg.Ring, proto.NodeID(i))
-		cfg.Learners = append(cfg.Learners, proto.NodeID(i))
-	}
-	l := lan.New(lan.DefaultConfig(), 1)
-	agents := make([]*ringpaxos.UAgent, n)
-	for i := 0; i < n; i++ {
-		agents[i] = &ringpaxos.UAgent{Cfg: cfg}
-		agents[i].Trace = dep.Learner(proto.NodeID(i))
-		var hs []proto.Handler
-		hs = append(hs, agents[i])
-		if i == 0 {
-			p := &pump{size: 1024, rate: 20e6, submit: agents[i].Propose}
-			hs = append(hs, p)
-		}
-		l.AddNode(proto.NodeID(i), proto.Multi(hs...))
-	}
-	l.Start()
-	probe := agents[n-1]
-	live := func() int {
-		t := 0
-		for _, a := range agents {
-			t += a.LiveLogLen()
-		}
-		return t
-	}
-	return l, live, func() int64 { return probe.DeliveredMsgs }
-}
-
-func runSoakURing(w io.Writer, rec *DelivRecorder) {
-	lOn, liveOn, delOn := soakURing(rec.Deployment(), true)
-	on := soakRun(lOn, "soak.uring", liveOn, delOn)
-	lOff, liveOff, delOff := soakURing(rec.Deployment(), false)
-	off := soakRun(lOff, "", liveOff, delOff)
-	soakReport(w, "soak.uring — U-Ring Paxos (3 acceptors, 4-process ring), 20 Mbps of 1 KB values for 10 s", on, off)
-}
-
-func soakPaxos(dep *DelivDeployment, gc bool) (*lan.LAN, func() int, func() int64) {
-	// gc=true exercises the on-by-default path (zero GCInterval resolves
-	// to DefaultGCInterval); the control opts out with the explicit -1.
-	cfg := paxos.Config{Coordinator: 0}
-	if gc {
-		cfg.RecycleBatches = true
-	} else {
-		cfg.GCInterval = -1
-	}
-	cfg.Acceptors = []proto.NodeID{0, 1, 2}
-	cfg.Learners = []proto.NodeID{100, 101}
-	l := lan.New(lan.DefaultConfig(), 1)
-	var agents []*paxos.Agent
-	var delivered int64
-	for i, id := range append(append([]proto.NodeID{}, cfg.Acceptors...), cfg.Learners...) {
-		a := &paxos.Agent{Cfg: cfg}
-		if i >= len(cfg.Acceptors) {
-			a.Trace = dep.Learner(id)
-		}
-		if i == len(cfg.Acceptors) { // first learner is the probe
-			a.Deliver = func(_ int64, v core.Value) { delivered++ }
-		}
-		agents = append(agents, a)
-		l.AddNode(id, a)
-	}
-	prop := &paxos.Agent{Cfg: cfg}
-	p := &pump{size: 512, rate: 10e6, submit: prop.Propose}
-	l.AddNode(200, proto.Multi(prop, p))
-	l.Start()
-	live := func() int {
-		n := 0
-		for _, a := range agents {
-			n += a.LiveLogLen()
-		}
-		return n
-	}
-	return l, live, func() int64 { return delivered }
-}
-
-func runSoakPaxos(w io.Writer, rec *DelivRecorder) {
-	lOn, liveOn, delOn := soakPaxos(rec.Deployment(), true)
-	on := soakRun(lOn, "soak.paxos", liveOn, delOn)
-	lOff, liveOff, delOff := soakPaxos(rec.Deployment(), false)
-	off := soakRun(lOff, "", liveOff, delOff)
-	soakReport(w, "soak.paxos — basic Paxos (3 acceptors, 2 learners, unicast), 10 Mbps of 512 B values for 10 s", on, off)
-}
-
-func soakSPaxos(dep *DelivDeployment, gc bool) (*lan.LAN, func() int, func() int64) {
-	reps := []proto.NodeID{0, 1, 2}
-	l := lan.New(lan.DefaultConfig(), 1)
-	agents := make([]*abcast.SPaxos, len(reps))
-	for i := range reps {
-		// gc=true exercises the on-by-default path (zero GCInterval
-		// resolves to the inner agent's default); the control opts out
-		// with the explicit -1.
-		agents[i] = &abcast.SPaxos{Replicas: reps}
-		agents[i].Trace = dep.Learner(reps[i])
-		if !gc {
-			agents[i].GCInterval = -1
-		}
-		p := &pump{size: 512, rate: 10e6 / float64(len(reps)), submit: agents[i].Submit}
-		l.AddNode(reps[i], proto.Multi(agents[i], p))
-	}
-	l.Start()
-	probe := agents[len(reps)-1]
-	live := func() int {
-		n := 0
-		for _, a := range agents {
-			n += a.LiveLogLen()
-		}
-		return n
-	}
-	return l, live, func() int64 { return probe.DeliveredMsgs }
-}
-
-func runSoakSPaxos(w io.Writer, rec *DelivRecorder) {
-	lOn, liveOn, delOn := soakSPaxos(rec.Deployment(), true)
-	on := soakRun(lOn, "soak.spaxos", liveOn, delOn)
-	lOff, liveOff, delOff := soakSPaxos(rec.Deployment(), false)
-	off := soakRun(lOff, "", liveOff, delOff)
-	soakReport(w, "soak.spaxos — S-Paxos (3 replicas), 10 Mbps of 512 B values for 10 s", on, off)
 }

@@ -25,6 +25,12 @@ type DecBuf struct {
 	refs atomic.Int32
 }
 
+// Audited for the duplicated-datagram use-after-recycle fixed in
+// internal/paxos: the receiver count assumes each subscriber consumes the
+// multicast once, which a duplicating network breaks (one extra Release
+// undercounts). lan.Node.GroupSize therefore reports 0 while the fault
+// schedule's DupRate is set, so buffers are never armed there.
+//
 // decBufPool is shared across agents: in a partitioned (PDES) run the last
 // release can happen on any logical process's goroutine, so the pool must
 // be safe to feed from one goroutine and drain from another.

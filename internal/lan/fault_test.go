@@ -381,6 +381,28 @@ func TestNetFaultDropDupDelay(t *testing.T) {
 	}
 }
 
+// A network that duplicates datagrams cannot count a multicast's
+// consumers: receiver-counted shared buffers (core.DecBuf) must fall back
+// to the garbage collector there, or the duplicate's second release
+// recycles the buffer under a receiver that has not read it yet.
+func TestGroupSizeUncountableUnderDuplication(t *testing.T) {
+	size := func(net fault.Net) int {
+		l := New(DefaultConfig(), 1)
+		n := l.AddNode(0, &proto.HandlerFunc{})
+		l.AddNode(1, &proto.HandlerFunc{})
+		l.Subscribe(7, 0)
+		l.Subscribe(7, 1)
+		l.InstallFaults(fault.New(1).WithNet(net))
+		return n.GroupSize(7)
+	}
+	if got := size(fault.Net{DropRate: 0.5}); got != 2 {
+		t.Errorf("GroupSize under drop-only faults = %d, want 2", got)
+	}
+	if got := size(fault.Net{DupRate: 0.01}); got != 0 {
+		t.Errorf("GroupSize under duplicating faults = %d, want 0 (uncountable)", got)
+	}
+}
+
 // Same seed, same schedule: two faulted runs are byte-equivalent
 // (identical delivery sequences and counters).
 func TestFaultScheduleReplaysDeterministically(t *testing.T) {

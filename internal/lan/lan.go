@@ -745,8 +745,17 @@ func (n *Node) ID() proto.NodeID { return n.id }
 // clock, which trails the global window by less than the lookahead horizon.
 func (n *Node) Now() time.Duration { return n.k.now() }
 
-// GroupSize implements proto.GroupSizer: the number of subscribers of g.
-func (n *Node) GroupSize(g proto.GroupID) int { return len(n.lan.groupMembers(g)) }
+// GroupSize implements proto.GroupSizer: the number of subscribers of g —
+// or 0 ("cannot count") while the installed fault schedule duplicates
+// datagrams: a receiver that consumes one multicast twice releases a
+// shared buffer twice, so any count would undercount and recycle the
+// buffer under a receiver still reading it.
+func (n *Node) GroupSize(g proto.GroupID) int {
+	if f := n.lan.faults; f != nil && f.Net.DupRate > 0 {
+		return 0
+	}
+	return len(n.lan.groupMembers(g))
+}
 
 // Rand implements proto.Env.
 func (n *Node) Rand() *rand.Rand { return n.lan.Sim.Rand() }

@@ -131,8 +131,10 @@ type (
 		Rnd  int64
 		Val  core.Batch
 	}
-	// msgPhase2B is an acceptor's vote, pooled and recycled by the
-	// coordinator that consumes it.
+	// msgPhase2B is an acceptor's vote. On the TCP path (unicast wiring)
+	// it is pooled and recycled by the coordinator that consumes it; on
+	// the datagram path (multicast wiring) it is allocated fresh and never
+	// recycled, because the network may deliver one datagram twice.
 	msgPhase2B struct {
 		Inst int64
 		Rnd  int64
@@ -166,6 +168,18 @@ func (m msgPhase2B) Size() int  { return headerBytes }
 func (m msgDecision) Size() int { return headerBytes + m.Val.Size() }
 func (m msgLearnReq) Size() int { return headerBytes }
 
+// A pooled message has exactly one consumer, which Puts it; that only holds
+// on TCP, where a message arrives once. A datagram the fault layer
+// duplicates reaches its consumer twice as the SAME pointer, so a pooled
+// datagram would be Put twice and read after it was zeroed or re-issued.
+//
+//   - phase2BPool: TCP path only. The multicast wiring sends 2Bs over
+//     SendUDP, so there sendPhase2B allocates and onPhase2B leaves the
+//     message to the GC (TestMulticastDuplicated2BNotRecycled).
+//   - decisionPool: safe. Multicast and fan-out decisions are marked Shared
+//     and never Put; the only recycled decisions are the single-receiver
+//     gap-recovery retransmissions of onLearnReq, which travel over TCP.
+//   - msgProposePool: safe, proposals travel over TCP only.
 var (
 	msgProposePool proto.MsgPool[MsgPropose]
 	phase2BPool    proto.MsgPool[msgPhase2B]
@@ -496,7 +510,9 @@ func (a *Agent) onPhase1B(from proto.NodeID, m msgPhase1B) {
 
 func (a *Agent) onPhase2B(from proto.NodeID, m *msgPhase2B) {
 	inst, rnd := m.Inst, m.Rnd
-	phase2BPool.Put(m)
+	if !a.Cfg.Multicast {
+		phase2BPool.Put(m)
+	}
 	if !a.isCoord {
 		return
 	}
@@ -599,13 +615,13 @@ func (a *Agent) onPhase2A(from proto.NodeID, m *msgPhase2A) {
 }
 
 func (a *Agent) sendPhase2B(to proto.NodeID, inst, rnd int64) {
+	if a.Cfg.Multicast {
+		a.env.SendUDP(to, &msgPhase2B{Inst: inst, Rnd: rnd})
+		return
+	}
 	mb := phase2BPool.Get()
 	mb.Inst, mb.Rnd = inst, rnd
-	if a.Cfg.Multicast {
-		a.env.SendUDP(to, mb)
-	} else {
-		a.env.Send(to, mb)
-	}
+	a.env.Send(to, mb)
 }
 
 // --- learner ---

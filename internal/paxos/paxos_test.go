@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/lan"
 	"repro/internal/proto"
 )
@@ -296,4 +297,73 @@ func TestQuorum(t *testing.T) {
 func ExampleAgent() {
 	fmt.Println("see package tests for deployment wiring")
 	// Output: see package tests for deployment wiring
+}
+
+// spy2B sits in front of the coordinator and remembers every Phase 2B
+// pointer it receives together with the contents it arrived with.
+type spy2B struct {
+	*Agent
+	t    *testing.T
+	seen map[*msgPhase2B]msgPhase2B
+	dups int
+}
+
+func (s *spy2B) Receive(from proto.NodeID, m proto.Message) {
+	if b, ok := m.(*msgPhase2B); ok {
+		if first, dup := s.seen[b]; dup {
+			s.dups++
+			if *b != first {
+				s.t.Errorf("duplicate of 2B %+v arrived as %+v: the first delivery recycled a datagram still in flight", first, *b)
+			}
+		} else {
+			s.seen[b] = *b
+		}
+	}
+	s.Agent.Receive(from, m)
+}
+
+// TestMulticastDuplicated2BNotRecycled is the regression test for the
+// fault.paxos use-after-recycle: in the multicast wiring acceptors vote
+// over SendUDP, and a network that duplicates every datagram hands the
+// coordinator each 2B pointer twice. The second delivery must still read
+// the vote the acceptor sent — the coordinator may not have pooled (zeroed,
+// re-issued) it — and every instance must decide in one agreed order.
+func TestMulticastDuplicated2BNotRecycled(t *testing.T) {
+	l := lan.New(lan.DefaultConfig(), 7)
+	cfg := Config{
+		Coordinator: 0,
+		Acceptors:   []proto.NodeID{0, 1, 2},
+		Learners:    []proto.NodeID{100, 101},
+		Multicast:   true,
+		Group:       1,
+		// One value per instance, so instance ids run well past 0 (a
+		// zeroed 2B reads as instance 0, round 0).
+		BatchBytes: 1,
+		BatchDelay: time.Microsecond,
+	}
+	d := &deployment{l: l, cfg: cfg, learners: cfg.Learners, deliv: make(map[proto.NodeID][]core.ValueID)}
+	spy := &spy2B{t: t, seen: make(map[*msgPhase2B]msgPhase2B)}
+	for _, id := range append(append([]proto.NodeID{}, cfg.Acceptors...), cfg.Learners...) {
+		a := &Agent{Cfg: cfg}
+		a.Deliver = func(_ int64, v core.Value) { d.deliv[id] = append(d.deliv[id], v.ID) }
+		var h proto.Handler = a
+		if id == cfg.Coordinator {
+			spy.Agent = a
+			h = spy
+		}
+		l.AddNode(id, h)
+		l.Subscribe(cfg.Group, id)
+	}
+	d.client = &Agent{Cfg: cfg}
+	l.AddNode(200, d.client)
+	l.InstallFaults(fault.New(1).WithNet(fault.Net{DupRate: 1}))
+	l.Start()
+
+	const n = 200
+	d.propose(n)
+	l.Run(time.Second)
+	checkLearners(t, d, n)
+	if spy.dups < n {
+		t.Fatalf("coordinator saw %d duplicated 2Bs, want at least %d: DupRate=1 is not reaching the vote path", spy.dups, n)
+	}
 }

@@ -161,7 +161,10 @@ var msgProposePool proto.MsgPool[MsgPropose]
 
 // phase2BPool recycles Phase 2B messages, which travel the ring hop by hop
 // and are consumed either by the coordinator (deciding) or by an acceptor
-// that holds them while its Phase 2A is outstanding.
+// that holds them while its Phase 2A is outstanding. Audited for the
+// duplicated-datagram use-after-recycle fixed in internal/paxos: every 2B
+// hop is an env.Send (TCP, delivered once), so each pointer has one
+// consumer. Moving the 2B onto SendUDP/Multicast would need the same fix.
 var phase2BPool proto.MsgPool[mPhase2B]
 
 // logEntry is an acceptor/coordinator record of one instance, stored
