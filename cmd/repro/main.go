@@ -13,7 +13,7 @@
 //	                             output hash, delivery sequence, safety verdict
 //	repro -verify -exp fig3.2    the same for one experiment
 //	repro -allocs fig4.3         alloc-profile experiments sequentially
-//	repro -check-allocs ci/budgets.json  enforce every CI ceiling
+//	repro -check-budgets ci/budgets.json  enforce every CI ceiling
 //
 // ci/budgets.json carries every ceiling in one file: figure mallocs, soak
 // heap + live-log ceilings, recovery WAL bytes + worst recovery gap, and
@@ -94,7 +94,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	verify := fs.Bool("verify", false, "run all deterministic experiments (or -exp) and compare against every golden layer: output hash, delivery sequence, safety verdict")
 	goldenDir := fs.String("golden-dir", bench.DefaultGoldenDir, "golden hash directory (relative to the repository root)")
 	allocs := fs.String("allocs", "", "comma-separated experiment ids to alloc-profile sequentially (JSON on stdout)")
-	checkAllocs := fs.String("check-allocs", "", "budget file (e.g. ci/budgets.json): alloc-profile each budgeted experiment and fail on any exceeded ceiling")
+	checkBudgets := fs.String("check-budgets", "", "budget file (e.g. ci/budgets.json): profile each budgeted experiment and fail on any exceeded ceiling")
 	if err := fs.Parse(args); err != nil {
 		if err == flag.ErrHelp {
 			return 0
@@ -108,8 +108,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	bench.SetPar(*par)
 
 	switch {
-	case *checkAllocs != "":
-		return runCheckAllocs(stdout, stderr, *checkAllocs)
+	case *checkBudgets != "":
+		return runCheckBudgets(stdout, stderr, *checkBudgets)
 	case *allocs != "":
 		return runAllocs(stdout, stderr, *allocs)
 	case *list:
@@ -258,18 +258,19 @@ func runAllocs(stdout, stderr io.Writer, ids string) int {
 	return 0
 }
 
-// runCheckAllocs is CI's allocation gate: it profiles every experiment
-// named in the budget file sequentially and fails when any ceiling —
-// malloc count for the figure reproductions, live-heap peak or live-log
-// span for the soak workloads — is exceeded. The profiles are emitted as
-// JSON on stdout so a failing run leaves the numbers behind.
-func runCheckAllocs(stdout, stderr io.Writer, path string) int {
+// runCheckBudgets is CI's budget gate: it profiles every experiment named
+// in the budget file sequentially and fails when any ceiling — mallocs for
+// the figure reproductions, live-heap peak and live-log span for the soak
+// workloads, WAL bytes and recovery gap for the recovery families, retries
+// and retry bytes for the client families — is exceeded. The profiles are
+// emitted as JSON on stdout so a failing run leaves the numbers behind.
+func runCheckBudgets(stdout, stderr io.Writer, path string) int {
 	budgets, err := bench.ReadBudgets(path)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 1
 	}
-	results, bad := bench.CheckAllocs(budgets, stderr)
+	results, bad := bench.CheckBudgets(budgets, stderr)
 	enc := json.NewEncoder(stdout)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(results); err != nil {

@@ -219,12 +219,12 @@ func writeBudgets(t *testing.T, body string) string {
 	return path
 }
 
-func TestCheckAllocsWithinBudget(t *testing.T) {
+func TestCheckBudgetsWithinBudget(t *testing.T) {
 	// tab3.1 is analytic; any generous malloc ceiling holds.
 	path := writeBudgets(t, `[{"id": "tab3.1", "max_mallocs": 100000000}]`)
-	code, out, errw := runCLI(t, "-check-allocs", path)
+	code, out, errw := runCLI(t, "-check-budgets", path)
 	if code != 0 {
-		t.Fatalf("-check-allocs exit %d, stderr %s", code, errw)
+		t.Fatalf("-check-budgets exit %d, stderr %s", code, errw)
 	}
 	if !strings.Contains(errw, "all 1 budgets hold") || !strings.Contains(errw, "ok   tab3.1") {
 		t.Errorf("stderr %q lacks the verdicts", errw)
@@ -241,23 +241,23 @@ func TestCheckAllocsWithinBudget(t *testing.T) {
 	}
 }
 
-func TestCheckAllocsExceededBudgetExits1(t *testing.T) {
+func TestCheckBudgetsExceededBudgetExits1(t *testing.T) {
 	path := writeBudgets(t, `[{"id": "tab3.1", "max_mallocs": 1}]`)
-	code, _, errw := runCLI(t, "-check-allocs", path)
+	code, _, errw := runCLI(t, "-check-budgets", path)
 	if code != 1 {
-		t.Fatalf("-check-allocs exit %d with a 1-malloc budget, want 1", code)
+		t.Fatalf("-check-budgets exit %d with a 1-malloc budget, want 1", code)
 	}
 	if !strings.Contains(errw, "BUDGET EXCEEDED") || !strings.Contains(errw, "tab3.1") {
 		t.Errorf("stderr %q lacks the violation", errw)
 	}
 }
 
-func TestCheckAllocsBadFile(t *testing.T) {
-	if code, _, _ := runCLI(t, "-check-allocs", "no/such/budgets.json"); code != 1 {
+func TestCheckBudgetsBadFile(t *testing.T) {
+	if code, _, _ := runCLI(t, "-check-budgets", "no/such/budgets.json"); code != 1 {
 		t.Fatalf("missing budget file exit %d, want 1", code)
 	}
 	path := writeBudgets(t, `[{"id": "fig99.9", "max_mallocs": 5}]`)
-	code, _, errw := runCLI(t, "-check-allocs", path)
+	code, _, errw := runCLI(t, "-check-budgets", path)
 	if code != 1 || !strings.Contains(errw, "unknown experiment") {
 		t.Fatalf("exit %d stderr %q, want unknown-experiment failure", code, errw)
 	}

@@ -35,8 +35,8 @@ type LCR struct {
 	// DiskSync persists each batch before forwarding it (Fig 3.9 mode).
 	// Writes happen sequentially along the ring.
 	DiskSync bool
-	// Deliver is invoked for every value in delivery order.
-	Deliver core.DeliverFunc
+	// Tail holds the Deliver hook and this process's delivery counters.
+	core.Tail
 	// Trace, if set, folds this process's delivered command sequence into
 	// a delivery-equivalence digest (see core.DelivTrace). Pure
 	// observation: it sends nothing and consumes no simulated time.
@@ -44,22 +44,13 @@ type LCR struct {
 
 	env proto.Env
 
-	pending      core.ValueSlab
-	pendingBytes int
-	batchArmed   bool
-	batchFn      func()
+	batch core.Batcher
 
 	seq       int64 // stamping counter (ring position 0 only)
 	localSeq  int64 // per-origin message counter
 	next      int64 // next global sequence to deliver
 	learned   core.InstLog[lcrEntry]
 	unstamped map[lcrKey]core.Batch
-
-	// DeliveredBytes/DeliveredMsgs count delivered application payload.
-	DeliveredBytes int64
-	DeliveredMsgs  int64
-	LatencySum     time.Duration
-	LatencyCount   int64
 }
 
 var _ proto.Handler = (*LCR)(nil)
@@ -107,7 +98,7 @@ func (l *LCR) Start(env proto.Env) {
 		l.BatchDelay = 500 * time.Microsecond
 	}
 	l.unstamped = make(map[lcrKey]core.Batch)
-	l.batchFn = func() { l.batchArmed = false; l.flush() }
+	l.batch.Init(env, l.BatchDelay, l.flush)
 }
 
 // lcrKey identifies a message before position 0 stamps it.
@@ -131,39 +122,21 @@ func (l *LCR) succ() proto.NodeID {
 
 // Broadcast submits a value at this process.
 func (l *LCR) Broadcast(v core.Value) {
-	l.pending.Push(v)
-	l.pendingBytes += v.Bytes
-	if l.pendingBytes >= l.BatchBytes {
+	if l.batch.Add(v, l.BatchBytes) {
 		l.flush()
-		return
-	}
-	if !l.batchArmed {
-		l.batchArmed = true
-		proto.AfterFree(l.env, l.BatchDelay, l.batchFn)
 	}
 }
 
 func (l *LCR) flush() {
-	for l.pending.Len() > 0 {
-		n, bytes := 0, 0
-		for n < l.pending.Len() && bytes < l.BatchBytes {
-			bytes += l.pending.At(n).Bytes
-			n++
-		}
-		vals := make([]core.Value, n)
-		for i := range vals {
-			vals[i] = l.pending.At(i)
-		}
-		l.pending.PopFront(n)
+	for l.batch.Len() > 0 {
 		l.localSeq++
-		m := lcrData{Origin: l.env.ID(), Local: l.localSeq, Seq: -1, Val: core.Batch{Vals: vals}}
+		m := lcrData{Origin: l.env.ID(), Local: l.localSeq, Seq: -1, Val: l.batch.Cut(nil, false, l.BatchBytes)}
 		if l.index() == 0 {
 			m.Seq = l.seq
 			l.seq++
 		}
 		l.forward(m)
 	}
-	l.pendingBytes = 0
 }
 
 // forward sends m to the successor, after the optional synchronous write.
@@ -258,23 +231,7 @@ func (l *LCR) drain() {
 		}
 		b := e.val
 		l.learned.Delete(l.next)
-		if l.Trace != nil {
-			now := l.env.Now()
-			for _, v := range b.Vals {
-				l.Trace.Note(now, l.next, v)
-			}
-		}
-		for _, v := range b.Vals {
-			l.DeliveredBytes += int64(v.Bytes)
-			l.DeliveredMsgs++
-			if v.Born != 0 {
-				l.LatencySum += l.env.Now() - v.Born
-				l.LatencyCount++
-			}
-			if l.Deliver != nil {
-				l.Deliver(l.next, v)
-			}
-		}
+		l.Tail.Batch(l.Trace, l.env, l.next, b, nil)
 		l.next++
 	}
 }

@@ -1,6 +1,7 @@
 package abcast
 
 import (
+	"math"
 	"math/bits"
 	"time"
 
@@ -35,8 +36,8 @@ type SPaxos struct {
 	// default; a negative value disables it (the pre-default seed
 	// behavior: the inner logs grow forever).
 	GCInterval time.Duration
-	// Deliver is invoked for every value in delivery order.
-	Deliver core.DeliverFunc
+	// Tail holds the Deliver hook and this replica's delivery counters.
+	core.Tail
 	// Trace, if set, folds this replica's delivered command sequence into
 	// a delivery-equivalence digest (see core.DelivTrace). Pure
 	// observation: it sends nothing and consumes no simulated time.
@@ -45,22 +46,13 @@ type SPaxos struct {
 	env   proto.Env
 	inner *paxos.Agent
 
-	pending      core.ValueSlab
-	pendingBytes int
-	batchArmed   bool
-	batchFn      func()
+	batch core.Batcher
 
 	reqs    map[core.ValueID]core.Value // disseminated request payloads
 	acks    map[core.ValueID]uint64     // acked replicas, as a bitmask over Replicas
 	stable  map[core.ValueID]bool
 	ordered core.FIFO[core.ValueID] // ids ordered by Paxos, pending stability
 	seq     int64
-
-	// DeliveredBytes/DeliveredMsgs count delivered application payload.
-	DeliveredBytes int64
-	DeliveredMsgs  int64
-	LatencySum     time.Duration
-	LatencyCount   int64
 }
 
 var _ proto.Handler = (*SPaxos)(nil)
@@ -92,7 +84,7 @@ func (s *SPaxos) Start(env proto.Env) {
 	s.reqs = make(map[core.ValueID]core.Value)
 	s.acks = make(map[core.ValueID]uint64)
 	s.stable = make(map[core.ValueID]bool)
-	s.batchFn = func() { s.batchArmed = false; s.flush() }
+	s.batch.Init(env, s.BatchDelay, s.flush)
 	// Inner Paxos orders ids only: replicas are acceptors and learners.
 	s.inner = &paxos.Agent{
 		Cfg: paxos.Config{
@@ -101,22 +93,15 @@ func (s *SPaxos) Start(env proto.Env) {
 			Learners:    s.Replicas,
 			GCInterval:  s.GCInterval,
 		},
-		Deliver: func(_ int64, v core.Value) { s.onOrdered(core.ValueID(v.ID)) },
 	}
+	s.inner.Deliver = func(_ int64, v core.Value) { s.onOrdered(core.ValueID(v.ID)) }
 	s.inner.Start(env)
 }
 
 // Submit accepts a client request at this replica.
 func (s *SPaxos) Submit(v core.Value) {
-	s.pending.Push(v)
-	s.pendingBytes += v.Bytes
-	if s.pendingBytes >= s.BatchBytes {
+	if s.batch.Add(v, s.BatchBytes) {
 		s.flush()
-		return
-	}
-	if !s.batchArmed {
-		s.batchArmed = true
-		proto.AfterFree(s.env, s.BatchDelay, s.batchFn)
 	}
 }
 
@@ -126,27 +111,20 @@ func (s *SPaxos) Submit(v core.Value) {
 // dissemination tables (reqs/acks/stable) and the ordered-id queue are
 // retained — a replica that lost the payload of an already-ordered id
 // has no re-request path, so they are modeled as part of the durable
-// request log (the write-ahead-log roadmap item makes that real).
+// request log, at no cost.
 func (s *SPaxos) LoseVolatile() {
-	s.pending.PopFront(s.pending.Len())
-	s.pendingBytes = 0
+	s.batch.Reset()
 	if s.inner != nil {
 		s.inner.LoseVolatile()
 	}
 }
 
+// flush forwards everything staged as one message, however much it is.
 func (s *SPaxos) flush() {
-	n := s.pending.Len()
-	if n == 0 {
+	if s.batch.Len() == 0 {
 		return
 	}
-	vals := make([]core.Value, n)
-	for i := range vals {
-		vals[i] = s.pending.At(i)
-	}
-	s.pending.PopFront(n)
-	s.pendingBytes = 0
-	fwd := spForward{Vals: vals}
+	fwd := spForward{Vals: s.batch.Cut(nil, false, math.MaxInt).Vals}
 	s.onForward(s.env.ID(), fwd)
 	for _, r := range s.Replicas {
 		if r != s.env.ID() {
@@ -244,18 +222,7 @@ func (s *SPaxos) drain() {
 		delete(s.reqs, id)
 		delete(s.acks, id)
 		delete(s.stable, id)
-		s.DeliveredBytes += int64(v.Bytes)
-		s.DeliveredMsgs++
-		if v.Born != 0 {
-			s.LatencySum += s.env.Now() - v.Born
-			s.LatencyCount++
-		}
-		if s.Trace != nil {
-			s.Trace.Note(s.env.Now(), s.seq, v)
-		}
-		if s.Deliver != nil {
-			s.Deliver(s.seq, v)
-		}
+		s.Tail.Value(s.Trace, s.env, s.seq, v)
 		s.seq++
 	}
 }

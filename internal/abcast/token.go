@@ -26,8 +26,8 @@ type TokenRing struct {
 	// DaemonCost is extra per-message CPU charged at every daemon,
 	// modeling Spread's daemon layer (client-daemon hops, group logic).
 	DaemonCost time.Duration
-	// Deliver is invoked for every value in delivery order.
-	Deliver core.DeliverFunc
+	// Tail holds the Deliver hook and this daemon's delivery counters.
+	core.Tail
 	// Trace, if set, folds this process's delivered command sequence into
 	// a delivery-equivalence digest (see core.DelivTrace). Pure
 	// observation: it sends nothing and consumes no simulated time.
@@ -35,18 +35,11 @@ type TokenRing struct {
 
 	env proto.Env
 
-	pending      core.ValueSlab
-	pendingBytes int
+	batch core.Batcher
 
-	learned core.InstLog[core.Batch]
+	learned core.Reorder
 	next    int64
 	safe    int64 // sequences < safe are stable
-
-	// DeliveredBytes/DeliveredMsgs count delivered application payload.
-	DeliveredBytes int64
-	DeliveredMsgs  int64
-	LatencySum     time.Duration
-	LatencyCount   int64
 }
 
 var _ proto.Handler = (*TokenRing)(nil)
@@ -106,10 +99,7 @@ func (t *TokenRing) succ() proto.NodeID {
 
 // Broadcast submits a value at this daemon; it is sent at the next token
 // visit.
-func (t *TokenRing) Broadcast(v core.Value) {
-	t.pending.Push(v)
-	t.pendingBytes += v.Bytes
-}
+func (t *TokenRing) Broadcast(v core.Value) { t.batch.Stage(v) }
 
 // Receive implements proto.Handler.
 func (t *TokenRing) Receive(from proto.NodeID, msg proto.Message) {
@@ -141,19 +131,8 @@ func (t *TokenRing) onToken(m tokenMsg) {
 	work := t.DaemonCost
 	// Broadcast pending batches while holding the token.
 	sent := 0
-	for t.pending.Len() > 0 && sent < t.MaxPerToken {
-		n, bytes := 0, 0
-		for n < t.pending.Len() && bytes < t.BatchBytes {
-			bytes += t.pending.At(n).Bytes
-			n++
-		}
-		vals := make([]core.Value, n)
-		for i := range vals {
-			vals[i] = t.pending.At(i)
-		}
-		t.pending.PopFront(n)
-		t.pendingBytes -= bytes
-		d := tokenData{Seq: m.Seq, Val: core.Batch{Vals: vals}}
+	for t.batch.Len() > 0 && sent < t.MaxPerToken {
+		d := tokenData{Seq: m.Seq, Val: t.batch.Cut(nil, false, t.BatchBytes)}
 		m.Seq++
 		sent++
 		t.onData(d) // local copy
@@ -196,14 +175,9 @@ func (t *TokenRing) onToken(m tokenMsg) {
 }
 
 func (t *TokenRing) onData(m tokenData) {
-	if m.Seq < t.next {
-		return
+	if t.learned.Hold(t.next, m.Seq, m.Val) {
+		t.drain()
 	}
-	e, existed := t.learned.Put(m.Seq)
-	if !existed {
-		*e = m.Val
-	}
-	t.drain()
 }
 
 func (t *TokenRing) drain() {
@@ -215,23 +189,7 @@ func (t *TokenRing) drain() {
 		b := *e
 		// Keep a bounded history for token-driven retransmission.
 		t.learned.Delete(t.next - 1024)
-		if t.Trace != nil {
-			now := t.env.Now()
-			for _, v := range b.Vals {
-				t.Trace.Note(now, t.next, v)
-			}
-		}
-		for _, v := range b.Vals {
-			t.DeliveredBytes += int64(v.Bytes)
-			t.DeliveredMsgs++
-			if v.Born != 0 {
-				t.LatencySum += t.env.Now() - v.Born
-				t.LatencyCount++
-			}
-			if t.Deliver != nil {
-				t.Deliver(t.next, v)
-			}
-		}
+		t.Tail.Batch(t.Trace, t.env, t.next, b, nil)
 		t.next++
 	}
 }

@@ -4,7 +4,7 @@ package bench
 // runner.go, alloc profiling is strictly sequential: runtime.MemStats is
 // process-global, so overlapping experiments would attribute each other's
 // garbage. cmd/repro exposes this through -allocs and through
-// -check-allocs, the CI budget gate. (Host time, allocations per command
+// -check-budgets, the CI budget gate. (Host time, allocations per command
 // and latency, end to end and per layer, are the repository benchmark's
 // job: BENCHMARK.json and benchmark/README.md.)
 
@@ -163,10 +163,10 @@ func ReadBudgets(path string) ([]AllocBudget, error) {
 	return budgets, nil
 }
 
-// CheckAllocs profiles every budgeted experiment sequentially and returns
+// CheckBudgets profiles every budgeted experiment sequentially and returns
 // one line per violated ceiling (empty = all within budget). Progress and
 // per-check verdicts go to logw.
-func CheckAllocs(budgets []AllocBudget, logw io.Writer) ([]AllocResult, []string) {
+func CheckBudgets(budgets []AllocBudget, logw io.Writer) ([]AllocResult, []string) {
 	var results []AllocResult
 	var bad []string
 	for _, budget := range budgets {

@@ -93,7 +93,7 @@ func runLCR(rec *DelivRecorder, n, msgSize int, offered float64, lc lan.Config, 
 		p := &pump{size: msgSize, rate: offered / float64(n), submit: a.Broadcast}
 		r.l.AddNode(id, proto.Multi(a, p))
 	}
-	r.probe = counters(&a.DeliveredBytes, &a.DeliveredMsgs, &a.LatencySum, &a.LatencyCount, nil)
+	r.probe = &a.Tail
 	r.l.Start()
 	return r.measureAB(dur)
 }
@@ -111,7 +111,7 @@ func runToken(rec *DelivRecorder, n, msgSize int, offered float64, lc lan.Config
 		r.l.AddNodeWithConfig(id, proto.Multi(a, p), lan.NodeConfig{CPUScale: 0.2, BandwidthScale: 1})
 		r.l.Subscribe(1, id)
 	}
-	r.probe = counters(&a.DeliveredBytes, &a.DeliveredMsgs, &a.LatencySum, &a.LatencyCount, nil)
+	r.probe = &a.Tail
 	r.l.Start()
 	return r.measureAB(dur)
 }

@@ -64,25 +64,6 @@ type rigSpec struct {
 	faults *fault.Schedule
 }
 
-// delivered is a probe learner's cumulative delivery counters.
-type delivered struct {
-	bytes, msgs, insts int64
-	latSum             time.Duration
-	latN               int64
-}
-
-// counters returns a probe over one agent's exported delivery counters
-// (insts is nil for protocols that do not count instances).
-func counters(bytes, msgs *int64, latSum *time.Duration, latN *int64, insts func() int64) func() delivered {
-	return func() delivered {
-		d := delivered{bytes: *bytes, msgs: *msgs, latSum: *latSum, latN: *latN}
-		if insts != nil {
-			d.insts = insts()
-		}
-		return d
-	}
-}
-
 // rig is one started deployment plus what the reports read from it.
 type rig struct {
 	l     *lan.LAN
@@ -94,9 +75,11 @@ type rig struct {
 	logged   []interface{ LiveLogLen() int } // every acceptor/learner agent
 	logs     []*wal.Log
 	session  *client.Session
-	// probe reads the deployment's reference learner: the first dedicated
-	// learner (M-Ring, Paxos) or the last ring position / replica.
-	probe func() delivered
+	// probe is the delivery tail of the deployment's reference learner: the
+	// first dedicated learner (M-Ring, Paxos) or the last ring position /
+	// replica; insts reads its delivery frontier where instances are numbered.
+	probe *core.Tail
+	insts func() int64
 }
 
 var stockNode = lan.NodeConfig{CPUScale: 1, BandwidthScale: 1}
@@ -209,7 +192,7 @@ func buildMRing(cfg ringpaxos.MConfig, s rigSpec) *rig {
 		})
 	}
 	p := r.mring[cfg.Learners[0]]
-	r.probe = counters(&p.DeliveredBytes, &p.DeliveredMsgs, &p.LatencySum, &p.LatencyCount, p.NextDeliver)
+	r.probe, r.insts = &p.Tail, p.NextDeliver
 	return s.start(r)
 }
 
@@ -237,7 +220,7 @@ func buildURing(cfg ringpaxos.UConfig, s rigSpec) *rig {
 		s.add(r, id, proto.Multi(hs...))
 	}
 	p := r.uring[len(r.uring)-1]
-	r.probe = counters(&p.DeliveredBytes, &p.DeliveredMsgs, &p.LatencySum, &p.LatencyCount, p.NextDeliver)
+	r.probe, r.insts = &p.Tail, p.NextDeliver
 	return s.start(r)
 }
 
@@ -245,21 +228,13 @@ func buildURing(cfg ringpaxos.UConfig, s rigSpec) *rig {
 // the group in the multicast wiring — and one proposer node (id 200).
 func buildPaxos(cfg paxos.Config, s rigSpec) *rig {
 	r := s.newRig()
-	got := &delivered{}
 	for i, id := range slices.Concat(cfg.Acceptors, cfg.Learners) {
 		a := &paxos.Agent{Cfg: cfg}
 		if i >= len(cfg.Acceptors) {
 			a.Trace = s.trace(id)
 		}
 		if i == len(cfg.Acceptors) {
-			a.Deliver = func(_ int64, v core.Value) {
-				got.bytes += int64(v.Bytes)
-				got.msgs++
-				if v.Born != 0 {
-					got.latSum += r.l.Node(id).Now() - v.Born
-					got.latN++
-				}
-			}
+			r.probe = &a.Tail
 		}
 		r.logged = append(r.logged, a)
 		s.add(r, id, a)
@@ -270,7 +245,6 @@ func buildPaxos(cfg paxos.Config, s rigSpec) *rig {
 	prop := &paxos.Agent{Cfg: cfg}
 	r.l.AddNode(200, proto.Multi(prop, s.source(r, prop.Propose, nil, 1)))
 	r.ids = append(r.ids, 200)
-	r.probe = func() delivered { return *got }
 	return s.start(r)
 }
 
@@ -287,7 +261,7 @@ func buildSPaxos(tmpl abcast.SPaxos, s rigSpec) *rig {
 		r.logged = append(r.logged, p)
 		s.add(r, id, proto.Multi(p, s.source(r, p.Submit, nil, len(tmpl.Replicas))))
 	}
-	r.probe = counters(&p.DeliveredBytes, &p.DeliveredMsgs, &p.LatencySum, &p.LatencyCount, nil)
+	r.probe = &p.Tail
 	return s.start(r)
 }
 
@@ -389,17 +363,21 @@ func (r *rig) measureAB(dur time.Duration) abResult {
 	if dur == 0 {
 		dur = measure
 	}
-	r.l.Run(warmup)
-	d0 := r.probe()
-	r.l.Run(dur)
-	d1 := r.probe()
-	res := abResult{
-		Mbps:    mbps(d1.bytes-d0.bytes, dur),
-		MsgsSec: float64(d1.msgs-d0.msgs) / dur.Seconds(),
-		InstSec: float64(d1.insts-d0.insts) / dur.Seconds(),
+	insts := r.insts
+	if insts == nil {
+		insts = func() int64 { return 0 }
 	}
-	if n := d1.latN - d0.latN; n > 0 {
-		res.Lat = (d1.latSum - d0.latSum) / time.Duration(n)
+	r.l.Run(warmup)
+	d0, i0 := *r.probe, insts()
+	r.l.Run(dur)
+	d1, i1 := *r.probe, insts()
+	res := abResult{
+		Mbps:    mbps(d1.DeliveredBytes-d0.DeliveredBytes, dur),
+		MsgsSec: float64(d1.DeliveredMsgs-d0.DeliveredMsgs) / dur.Seconds(),
+		InstSec: float64(i1-i0) / dur.Seconds(),
+	}
+	if n := d1.LatencyCount - d0.LatencyCount; n > 0 {
+		res.Lat = (d1.LatencySum - d0.LatencySum) / time.Duration(n)
 	}
 	return res
 }

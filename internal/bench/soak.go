@@ -16,7 +16,7 @@ package bench
 // are golden-pinned like every figure. Heap occupancy (runtime.MemStats
 // HeapAlloc), which is NOT deterministic, never appears in the text:
 // it is recorded on a side channel that the sequential cmd/repro
-// -allocs / -check-allocs path reads, which is how CI asserts a hard
+// -allocs / -check-budgets path reads, which is how CI asserts a hard
 // HeapAlloc ceiling on the GC-enabled runs.
 
 import (
@@ -157,7 +157,7 @@ func runSoak(w io.Writer, rec *DelivRecorder, f *family) {
 		samples := make([]soakSample, 0, int(soakDur/soakStep))
 		for t := soakStep; t <= soakDur; t += soakStep {
 			rig.l.Run(soakStep)
-			s := soakSample{live: rig.live(), delivered: rig.probe().msgs}
+			s := soakSample{live: rig.live(), delivered: rig.probe.DeliveredMsgs}
 			samples = append(samples, s)
 			if i == 0 {
 				noteSoak(f.id, s.live)

@@ -1,6 +1,7 @@
 // Package core holds the value and delivery types shared by every ordering
 // protocol in the repository (Paxos, Ring Paxos, Multi-Ring Paxos and the
-// baseline broadcast protocols).
+// baseline broadcast protocols), and the parts they are all built from:
+// Batcher, Tail and Reorder, Trim, InstLog.
 package core
 
 import "time"
@@ -60,3 +61,25 @@ type DeliverFunc func(inst int64, v Value)
 // Skip marks a skipped (empty) consensus instance in Multi-Ring Paxos.
 // A skip batch carries no values.
 var Skip = Batch{}
+
+// MeasureClients runs a closed-loop deployment for warmup, then for dur,
+// and returns the requests per second its clients completed in the second
+// window and their mean response time. stats reads one client's cumulative
+// completion count and response-time sum.
+func MeasureClients[C any](run func(time.Duration), clients []C, stats func(C) (int64, time.Duration), warmup, dur time.Duration) (float64, time.Duration) {
+	total := func() (n int64, lat time.Duration) {
+		for _, c := range clients {
+			cn, cl := stats(c)
+			n, lat = n+cn, lat+cl
+		}
+		return
+	}
+	run(warmup)
+	n0, l0 := total()
+	run(dur)
+	n1, l1 := total()
+	if n1 == n0 {
+		return 0, 0
+	}
+	return float64(n1-n0) / dur.Seconds(), (l1 - l0) / time.Duration(n1-n0)
+}

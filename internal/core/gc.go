@@ -144,3 +144,36 @@ func (t *VersionTracker) Advance(expect int) (lo, hi int64, ok bool) {
 	t.floor = min + 1
 	return lo, hi, true
 }
+
+// Trim is the trim step every garbage-collecting protocol runs when a
+// version report arrives: the tracker names the instance range every
+// consumer has applied, the owner drops it from its logs, and the pooled
+// batch arrays it held go back to the pool — one round late. At trim time
+// every learner reported the instance applied, but one that defers
+// execution (ExecCost), feeds a downstream consumer (the Multi-Ring merge)
+// or has a retransmission in flight may hold the array a little longer; a
+// further version round (≥ GCInterval) retires that window before reuse.
+type Trim struct {
+	VersionTracker
+	// Pool is where the owner's Batcher draws pooled batch arrays from.
+	Pool       BatchPool
+	quarantine [][]Value // trimmed by the latest pass, recycled by the next
+}
+
+// Advance is VersionTracker.Advance over the learners not evicted for
+// staleness. When the floor moves it first recycles what the previous
+// pass retired; the caller then trims [lo, hi] from its logs and retires
+// the pooled arrays it finds there.
+func (t *Trim) Advance(learners int) (lo, hi int64, ok bool) {
+	lo, hi, ok = t.VersionTracker.Advance(t.Expect(learners))
+	if ok {
+		for _, vals := range t.quarantine {
+			t.Pool.Put(vals)
+		}
+		t.quarantine = t.quarantine[:0]
+	}
+	return
+}
+
+// Retire quarantines a pooled array the current pass trimmed.
+func (t *Trim) Retire(vals []Value) { t.quarantine = append(t.quarantine, vals) }

@@ -138,7 +138,7 @@ func TestInstLogRange(t *testing.T) {
 }
 
 func TestValueSlab(t *testing.T) {
-	var s ValueSlab
+	var s FIFO[Value]
 	for round := 0; round < 50; round++ {
 		for i := 0; i < 100; i++ {
 			s.Push(Value{ID: ValueID(round*100 + i)})

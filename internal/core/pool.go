@@ -8,7 +8,7 @@ import "math/bits"
 // abandons the array's prefix and re-grows forever — one amortized
 // allocation per element; a FIFO keeps one backing array alive for its
 // owner's lifetime, so steady-state queuing performs no allocation at all.
-// Every queue on a protocol hot path (pending-value staging, merge token
+// Every queue on a protocol hot path (the Batcher's staging, merge token
 // buffers, worker command streams, pending replies) is one of these.
 //
 // The zero value is an empty queue ready to use.
@@ -66,10 +66,6 @@ func (q *FIFO[T]) PopFront(n int) {
 	}
 }
 
-// ValueSlab is the pending-value staging buffer used by every batching
-// coordinator: a FIFO of Values awaiting a consensus batch.
-type ValueSlab = FIFO[Value]
-
 // BatchPool is a free list of []Value backing arrays for consensus
 // batches. Batches travel inside wire messages and are held by acceptor
 // stores and learner reorder buffers, so their arrays cannot live in the
@@ -114,43 +110,6 @@ func (p *BatchPool) Put(s []Value) {
 	s = s[:0]
 	clear(s[:cap(s)])
 	p.classes[c] = append(p.classes[c], s)
-}
-
-// DrainBatch moves the next consensus batch out of a staging slab: up to
-// maxBytes of the oldest staged values (always at least one), copied into
-// an array drawn from pool when pooled, else freshly allocated. It
-// returns the batch and its payload byte size. Every batching coordinator
-// without partition-aware grouping (U-Ring, basic Paxos) builds its
-// batches through this one helper, so the pooling contract lives in a
-// single place.
-func DrainBatch(pending *ValueSlab, pool *BatchPool, pooled bool, maxBytes int) (Batch, int) {
-	n, bytes := 0, 0
-	for n < pending.Len() && bytes < maxBytes {
-		bytes += pending.At(n).Bytes
-		n++
-	}
-	var vals []Value
-	if pooled {
-		vals = pool.Get(n)
-	} else {
-		vals = make([]Value, 0, n)
-	}
-	for i := 0; i < n; i++ {
-		vals = append(vals, pending.At(i))
-	}
-	pending.PopFront(n)
-	return Batch{Vals: vals}, bytes
-}
-
-// Recycle puts every array in q back into the pool and returns q reset to
-// length zero, ready to collect the next quarantine round. It is the
-// "quarantine-then-recycle" step every garbage-collecting protocol runs at
-// the top of a trim pass.
-func (p *BatchPool) Recycle(q [][]Value) [][]Value {
-	for _, vals := range q {
-		p.Put(vals)
-	}
-	return q[:0]
 }
 
 // poolClass returns the smallest class whose arrays hold n values.

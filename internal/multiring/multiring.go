@@ -239,8 +239,9 @@ type Merger struct {
 	M int64
 	// ExecCost is the per-value processing cost at this learner.
 	ExecCost time.Duration
-	// Deliver receives every application value in merged order.
-	Deliver core.DeliverFunc
+	// Tail holds the delivery counters and the Deliver hook, which receives
+	// every application value in merged order, numbered by that order.
+	core.Tail
 	// Trace, if set, folds the merged delivery sequence into a
 	// delivery-equivalence digest (see core.DelivTrace). Pure observation:
 	// it sends nothing and consumes no simulated time.
@@ -261,11 +262,6 @@ type Merger struct {
 
 	env proto.Env
 
-	// DeliveredBytes/DeliveredMsgs count application payload delivered.
-	DeliveredBytes int64
-	DeliveredMsgs  int64
-	LatencySum     time.Duration
-	LatencyCount   int64
 	// ReceivedBytes counts payload received per ring before merging.
 	ReceivedBytes map[int]int64
 	// DupSuppressed counts values the Dedup table suppressed.
@@ -392,18 +388,7 @@ func (mg *Merger) deliverBatch(b core.Batch) {
 			mg.DupSuppressed++
 			continue
 		}
-		mg.DeliveredBytes += int64(v.Bytes)
-		mg.DeliveredMsgs++
-		if v.Born != 0 {
-			mg.LatencySum += mg.env.Now() - v.Born
-			mg.LatencyCount++
-		}
-		if mg.Trace != nil {
-			mg.Trace.Note(mg.env.Now(), mg.seq, v)
-		}
 		mg.seq++
-		if mg.Deliver != nil {
-			mg.Deliver(0, v)
-		}
+		mg.Tail.Value(mg.Trace, mg.env, mg.seq-1, v)
 	}
 }

@@ -16,12 +16,8 @@
 //
 // The package also serves as the consensus substrate reused by the SMR and
 // baseline packages; Ring Paxos has its own package (internal/ringpaxos).
-//
-// Like internal/ringpaxos, the hot path stores per-instance state in
-// ring-indexed instance logs rather than maps, stages values in a reusable
-// slab, tracks Phase 2B quorums as bitmasks over the acceptor list, and
-// uses pooled pointer messages plus fire-and-forget timers, so the
-// steady-state data path performs no per-value allocation.
+// Staging, the delivery tail, the trim step and the instance logs are the
+// parts of internal/core every protocol is built from.
 package paxos
 
 import (
@@ -214,8 +210,9 @@ type logRec struct {
 // Acceptors, and as learner if listed in Learners. Application values are
 // delivered, in instance order, through the Deliver callback.
 type Agent struct {
-	Cfg     Config
-	Deliver core.DeliverFunc
+	Cfg Config
+	// Tail holds the Deliver hook and this learner's delivery counters.
+	core.Tail
 	// Trace, if set, folds this learner's delivered command sequence into
 	// a delivery-equivalence digest (see core.DelivTrace). Pure
 	// observation: it sends nothing and consumes no simulated time.
@@ -227,23 +224,19 @@ type Agent struct {
 	env proto.Env
 
 	// coordinator state
-	isCoord      bool
-	phase1Done   bool
-	crnd         int64
-	pending      core.ValueSlab
-	pendingBytes int
-	batchArmed   bool
-	next         int64
-	open         core.InstLog[coordInst]
-	log          core.InstLog[logRec] // decided batches, for retransmission
-	promises     map[proto.NodeID]msgPhase1B
-	pool         core.BatchPool
+	isCoord    bool
+	phase1Done bool
+	crnd       int64
+	batch      core.Batcher
+	next       int64
+	open       core.InstLog[coordInst]
+	log        core.InstLog[logRec] // decided batches, for retransmission
+	promises   map[proto.NodeID]msgPhase1B
 
-	// garbage-collection state (shared subsystem, §3.3.7): the coordinator
-	// tracks learner versions and owns the trim floor; acceptors follow the
-	// TrimFloor messages it broadcasts.
-	gc         core.VersionTracker
-	quarantine [][]core.Value // trimmed pooled arrays awaiting one more GC round
+	// gc is the garbage-collection state (§3.3.7): the coordinator tracks
+	// learner versions and owns the trim floor and the batch pool;
+	// acceptors follow the TrimFloor messages it broadcasts.
+	gc core.Trim
 
 	// acceptor state
 	rnd      int64
@@ -251,7 +244,7 @@ type Agent struct {
 	accFloor int64 // instances below it are trimmed from the vote log
 
 	// learner state
-	learned     core.InstLog[core.Batch]
+	learned     core.Reorder
 	nextDeliver int64
 	// coordHint is where learner-side requests (gap recovery, version
 	// reports) go: the static Cfg.Coordinator until a decision arrives
@@ -261,7 +254,6 @@ type Agent struct {
 	// would quietly disable garbage collection forever).
 	coordHint proto.NodeID
 
-	batchFn    func()
 	retryFn    func(int64)
 	gapTimerFn func()
 	versionFn  func()
@@ -274,7 +266,7 @@ func (a *Agent) Start(env proto.Env) {
 	a.env = env
 	a.Cfg.defaults()
 	a.promises = make(map[proto.NodeID]msgPhase1B)
-	a.batchFn = func() { a.batchArmed = false; a.flush() }
+	a.batch.Init(env, a.Cfg.BatchDelay, a.flush)
 	a.retryFn = a.retryInstance
 	a.gapTimerFn = a.gapTick
 	a.versionFn = a.versionTick
@@ -390,24 +382,15 @@ func (a *Agent) Receive(from proto.NodeID, m proto.Message) {
 // volatile state (fault.Lose) discards the staged client values awaiting
 // proposal. Promises, votes, the decision log and the delivered frontier
 // are retained — the protocol treats them as recoverable from stable
-// storage (the write-ahead-log roadmap item makes that real).
-func (a *Agent) LoseVolatile() {
-	a.pending.PopFront(a.pending.Len())
-	a.pendingBytes = 0
-}
+// storage at no cost (the Durability knob and write-ahead log of
+// internal/ringpaxos do not reach this agent yet).
+func (a *Agent) LoseVolatile() { a.batch.Reset() }
 
 // --- coordinator ---
 
 func (a *Agent) enqueue(v core.Value) {
-	a.pending.Push(v)
-	a.pendingBytes += v.Bytes
-	if a.pendingBytes >= a.Cfg.BatchBytes {
+	if a.batch.Add(v, a.Cfg.BatchBytes) {
 		a.flush()
-		return
-	}
-	if !a.batchArmed {
-		a.batchArmed = true
-		proto.AfterFree(a.env, a.Cfg.BatchDelay, a.batchFn)
 	}
 }
 
@@ -416,11 +399,9 @@ func (a *Agent) flush() {
 	if !a.isCoord || !a.phase1Done {
 		return
 	}
-	for a.pending.Len() > 0 && a.open.Len() < a.Cfg.Window {
+	for a.batch.Len() > 0 && a.open.Len() < a.Cfg.Window {
 		pooled := a.Cfg.RecycleBatches && a.Cfg.GCInterval > 0
-		b, bytes := core.DrainBatch(&a.pending, &a.pool, pooled, a.Cfg.BatchBytes)
-		a.pendingBytes -= bytes
-		a.startInstance(b, pooled)
+		a.startInstance(a.batch.Cut(&a.gc.Pool, pooled, a.Cfg.BatchBytes), pooled)
 	}
 }
 
@@ -627,36 +608,15 @@ func (a *Agent) sendPhase2B(to proto.NodeID, inst, rnd int64) {
 // --- learner ---
 
 func (a *Agent) onDecision(m *msgDecision) {
-	if !a.isLearner() {
+	if !a.isLearner() || !a.learned.Hold(a.nextDeliver, m.Inst, m.Val) {
 		return
 	}
-	if m.Inst < a.nextDeliver {
-		return // duplicate
-	}
-	e, existed := a.learned.Put(m.Inst)
-	if existed {
-		return
-	}
-	*e = m.Val
 	for {
-		b, ok := a.learned.Get(a.nextDeliver)
+		inst, b, ok := a.learned.Take(&a.nextDeliver)
 		if !ok {
-			break
+			return
 		}
-		val := *b
-		a.learned.Delete(a.nextDeliver)
-		if a.Trace != nil {
-			now := a.env.Now()
-			for _, v := range val.Vals {
-				a.Trace.Note(now, a.nextDeliver, v)
-			}
-		}
-		if a.Deliver != nil {
-			for _, v := range val.Vals {
-				a.Deliver(a.nextDeliver, v)
-			}
-		}
-		a.nextDeliver++
+		a.Tail.Batch(a.Trace, a.env, inst, b, nil)
 	}
 }
 
@@ -689,10 +649,7 @@ func (a *Agent) versionTick() {
 
 // onVersionReport runs on the coordinator: once every learner has
 // reported, it trims its decision log up to the minimum applied instance
-// and tells acceptors to trim their vote logs. Arrays owned by the batch
-// pool are quarantined for one GC round before reuse, exactly like M-Ring
-// Paxos: retransmitted decisions already in flight may still reference a
-// batch the log no longer needs.
+// (core.Trim) and tells acceptors to trim their vote logs.
 func (a *Agent) onVersionReport(m proto.VersionReport) {
 	if !a.isCoord {
 		return
@@ -702,10 +659,9 @@ func (a *Agent) onVersionReport(m proto.VersionReport) {
 	if !ok {
 		return
 	}
-	a.quarantine = a.pool.Recycle(a.quarantine)
 	a.log.Trim(lo, hi, func(_ int64, b *logRec) {
 		if b.pooled {
-			a.quarantine = append(a.quarantine, b.val.Vals)
+			a.gc.Retire(b.val.Vals)
 		}
 	})
 	tf := proto.TrimFloor{Inst: hi}

@@ -353,23 +353,7 @@ func (d *Deployment) Run(dur time.Duration) { d.LAN.Run(dur) }
 
 // Measure runs warmup+dur and returns request throughput and mean latency.
 func (d *Deployment) Measure(warmup, dur time.Duration) (float64, time.Duration) {
-	d.Run(warmup)
-	var c0 int64
-	var l0 time.Duration
-	for _, c := range d.Clients {
-		c0 += c.Completed
-		l0 += c.LatencySum
-	}
-	d.Run(dur)
-	var c1 int64
-	var l1 time.Duration
-	for _, c := range d.Clients {
-		c1 += c.Completed
-		l1 += c.LatencySum
-	}
-	n := c1 - c0
-	if n == 0 {
-		return 0, 0
-	}
-	return float64(n) / dur.Seconds(), (l1 - l0) / time.Duration(n)
+	return core.MeasureClients(d.Run, d.Clients, (*Client).done, warmup, dur)
 }
+
+func (c *Client) done() (int64, time.Duration) { return c.Completed, c.LatencySum }

@@ -22,8 +22,9 @@
 //     in both agents, owns what is the same: ring membership, roles and
 //     rounds; the Phase 1 vote-adoption merge; the failure detector,
 //     election and restart catch-up; Lose-crash durability and log replay;
-//     the learner tail (exactly-once check, trace, counters, Deliver); and
-//     the trim that follows the garbage-collection floor.
+//     the exactly-once check in front of the delivery tail; and what trims
+//     with the garbage-collection floor. Staging, tail and trim step are
+//     the parts every protocol shares (core.Batcher, core.Tail, core.Trim).
 //   - The layout policy is what differs about the ring: where the
 //     coordinator sits and how survivors are re-laid out (data in
 //     ringParams: M-Ring last, refilled from spares; U-Ring first, ahead of
@@ -33,14 +34,15 @@
 //   - MAgent keeps M-Ring's multicast 2A with ring 2B, gap recovery,
 //     partition masks, speculative delivery, flow control (§3.3.6) and
 //     snapshots; UAgent the combined 2A/2B pipeline, decision revolution
-//     and payload stripping. Each keeps its batcher and store record type.
+//     and payload stripping. Each keeps its own store record type.
 //
 // # Hot-path design
 //
 // The steady-state data path is allocation-free: per-instance records live
 // in ring-indexed instance logs (core.InstLog) instead of maps, batch
 // backing arrays come from a per-agent free list (core.BatchPool) and are
-// recycled when the learner-version garbage collection trims the instance,
+// recycled a round after the learner-version garbage collection trims the
+// instance,
 // periodic and per-instance timers use the environment's allocation-free
 // fire-and-forget path (proto.AfterFree), and the messages that travel hop
 // by hop around the ring (proposals, Phase 2B) are pooled pointers
@@ -139,16 +141,14 @@ type MConfig struct {
 	// returns after the floor passed its frontier catches up by snapshot
 	// (mSnapshot). Zero keeps the floor pinned — the legacy semantics.
 	GCEvict time.Duration
-	// SnapshotBytes is the modeled application snapshot size for snapshot
-	// catch-up transfers. Zero resolves to 64 KB.
-	SnapshotBytes int
 }
+
+// snapshotBytes is the modeled application snapshot size of a snapshot
+// catch-up transfer.
+const snapshotBytes = 64 << 10
 
 func (c *MConfig) defaults() {
 	sharedDefaults(&c.Window, &c.BatchBytes, 8<<10, &c.BatchDelay, &c.Retry, &c.GCInterval)
-	if c.SnapshotBytes == 0 {
-		c.SnapshotBytes = 64 << 10
-	}
 }
 
 // Coordinator returns the coordinator (last ring position).
@@ -237,13 +237,10 @@ type MAgent struct {
 	ringCore
 
 	// --- coordinator state ---
-	pending      []core.Value
-	pendingBytes int
-	batchArmed   bool
-	next         int64
-	open         core.InstLog[openInst]
-	window       int
-	lastSlow     time.Duration
+	next     int64
+	open     core.InstLog[openInst]
+	window   int
+	lastSlow time.Duration
 	// decQ accumulates decided instance ids between flushes. The buffer is
 	// pooled: once multicast, the last receiver recycles it (core.DecBuf),
 	// so a steady decision stream reuses the same few arrays.
@@ -269,7 +266,6 @@ type MAgent struct {
 
 	// Pre-bound timer callbacks, assigned once at Start so the periodic
 	// paths schedule existing func values instead of allocating closures.
-	batchFn       func()
 	retryFn       func(int64)
 	decFlushFn    func()
 	winRecFn      func()
@@ -295,7 +291,7 @@ func (a *MAgent) Start(env proto.Env) {
 	a.window = a.Cfg.Window
 	a.maxInst = -1
 	a.coord = a.Cfg.Coordinator()
-	a.batchFn = func() { a.batchArmed = false; a.flush() }
+	a.batch.Init(env, a.Cfg.BatchDelay, a.flush)
 	a.retryFn = a.retryInstance
 	a.decFlushFn = a.decisionFlushTick
 	a.winRecFn = a.windowRecoveryTick
@@ -422,12 +418,7 @@ func (a *MAgent) Receive(from proto.NodeID, m proto.Message) {
 
 // loseState implements layout: an honest crash takes the votes, the
 // coordinator's soft state and the flow-control window.
-func (a *MAgent) loseState(honest bool) {
-	a.pending = a.pending[:0]
-	a.pendingBytes = 0
-	if !honest {
-		return
-	}
+func (a *MAgent) loseState() {
 	a.maxInst = -1
 	a.store = core.InstLog[logEntry]{}
 	a.storeByte = 0
@@ -466,15 +457,8 @@ func (a *MAgent) replayRecord(r wal.Record) {
 // --- coordinator ---
 
 func (a *MAgent) enqueue(v core.Value) {
-	a.pending = append(a.pending, v)
-	a.pendingBytes += v.Bytes
-	if a.pendingBytes >= a.Cfg.BatchBytes {
+	if a.batch.Add(v, a.Cfg.BatchBytes) {
 		a.flush()
-		return
-	}
-	if !a.batchArmed {
-		a.batchArmed = true
-		proto.AfterFree(a.env, a.Cfg.BatchDelay, a.batchFn)
 	}
 }
 
@@ -485,32 +469,9 @@ func (a *MAgent) flush() {
 	if !a.isCoord || !a.phase1Done {
 		return
 	}
-	for len(a.pending) > 0 && a.open.Len() < a.window {
-		mask := a.pending[0].PartMask
-		// Pre-count the batch so the pool hands out a right-sized array
-		// (sizing by the whole backlog would inflate pooled arrays under
-		// overload).
-		n, b := 0, 0
-		for _, v := range a.pending {
-			if b < a.Cfg.BatchBytes && v.PartMask == mask {
-				n++
-				b += v.Bytes
-			}
-		}
-		batch := a.pool.Get(n)
-		bytes := 0
-		rest := a.pending[:0]
-		for _, v := range a.pending {
-			if bytes < a.Cfg.BatchBytes && v.PartMask == mask {
-				batch = append(batch, v)
-				bytes += v.Bytes
-				continue
-			}
-			rest = append(rest, v)
-		}
-		a.pending = rest
-		a.pendingBytes -= bytes
-		a.startInstance(core.Batch{Vals: batch}, mask, a.Cfg.RecycleBatches)
+	for a.batch.Len() > 0 && a.open.Len() < a.window {
+		b, mask := a.batch.CutMasked(&a.gc.Pool, a.Cfg.RecycleBatches, a.Cfg.BatchBytes)
+		a.startInstance(b, mask, a.Cfg.RecycleBatches)
 	}
 }
 
@@ -743,7 +704,7 @@ func (a *MAgent) onPhase2A(m mPhase2A) {
 		return
 	}
 	a.rnd = m.Rnd
-	if m.Inst < a.versions.Floor() {
+	if m.Inst < a.gc.Floor() {
 		// A straggling duplicate of a trimmed instance (every learner
 		// already applied it): re-creating its store entry below the GC
 		// floor would leave a permanent ghost in the instance ring, since
@@ -773,7 +734,7 @@ func (a *MAgent) onPhase2A(m mPhase2A) {
 // phase2AProceed runs once the 2A's value is locally stable: the first ring
 // position originates the 2B, later positions release a parked one.
 func (a *MAgent) phase2AProceed(inst, rnd int64, vid core.ValueID) {
-	if inst < a.versions.Floor() {
+	if inst < a.gc.Floor() {
 		return // trimmed while the disk write was in flight
 	}
 	e, _ := a.store.Put(inst)
@@ -816,7 +777,7 @@ func (a *MAgent) forward2B(m *mPhase2B) {
 }
 
 func (a *MAgent) onPhase2B(m *mPhase2B) {
-	if m.Inst < a.versions.Floor() {
+	if m.Inst < a.gc.Floor() {
 		// Straggler for a trimmed (globally applied) instance: parking it
 		// would ghost an entry below the GC floor forever.
 		phase2BPool.Put(m)
@@ -837,7 +798,7 @@ func (a *MAgent) onPhase2B(m *mPhase2B) {
 func (a *MAgent) onRetransmitReq(from proto.NodeID, m mRetransmitReq) {
 	snapped := false
 	for _, inst := range m.Insts {
-		if a.Cfg.GCEvict > 0 && inst < a.versions.Floor() {
+		if a.Cfg.GCEvict > 0 && inst < a.gc.Floor() {
 			// The requested instance was trimmed everywhere — only possible
 			// when staleness eviction let the floor pass a crashed learner's
 			// frontier — so replay cannot help; transfer state instead
@@ -848,8 +809,8 @@ func (a *MAgent) onRetransmitReq(from proto.NodeID, m mRetransmitReq) {
 				// bytes without client sessions) so the catch-up learner
 				// keeps suppressing retries of commands below the floor.
 				a.env.Send(from, mSnapshot{
-					Floor:      a.versions.Floor(),
-					StateBytes: a.Cfg.SnapshotBytes,
+					Floor:      a.gc.Floor(),
+					StateBytes: snapshotBytes,
 					Dedup:      a.dedup.Snapshot(),
 				})
 			}
@@ -892,13 +853,13 @@ func (a *MAgent) onSnapshot(m mSnapshot) {
 }
 
 func (a *MAgent) onVersion(m proto.VersionReport) {
-	if v, ok := a.versions.Version(int64(m.From)); ok && v >= m.Inst {
+	if v, ok := a.gc.Version(int64(m.From)); ok && v >= m.Inst {
 		// Stale or already-circulated report.
 		if m.Hops >= len(a.ring)-1 {
 			return
 		}
 	}
-	a.versions.ReportAt(int64(m.From), m.Inst, a.env.Now())
+	a.gc.ReportAt(int64(m.From), m.Inst, a.env.Now())
 	// Circulate once around the ring so every acceptor sees every version.
 	if i := a.ringIndex(); i >= 0 && m.Hops < len(a.ring)-1 {
 		m.Hops++
@@ -907,9 +868,9 @@ func (a *MAgent) onVersion(m proto.VersionReport) {
 	if a.Cfg.GCEvict > 0 && a.env.Now() > a.Cfg.GCEvict {
 		// A learner silent longer than GCEvict stops pinning the trim
 		// floor; it catches up by snapshot when it returns.
-		a.versions.EvictStale(a.env.Now() - a.Cfg.GCEvict)
+		a.gc.EvictStale(a.env.Now() - a.Cfg.GCEvict)
 	}
-	lo, hi, ok := a.gcAdvance()
+	lo, hi, ok := a.gc.Advance(len(a.learners))
 	if !ok {
 		return
 	}
@@ -918,7 +879,7 @@ func (a *MAgent) onVersion(m proto.VersionReport) {
 			a.storeByte -= e.bytes
 		}
 		if e.pooled {
-			a.quarantine = append(a.quarantine, e.val.Vals)
+			a.gc.Retire(e.val.Vals)
 		}
 	})
 	a.gcTrimmed()
@@ -1066,14 +1027,14 @@ func (a *MAgent) process(inst int64, val core.Batch) {
 
 func (a *MAgent) finishInstance(inst int64, val core.Batch) {
 	a.backlog--
-	sup := a.admit(inst, val, a.Trace)
+	sup := a.dedupPass(inst, val)
 	if a.Confirm != nil {
 		a.Confirm(inst)
 	}
 	if a.DeliverBatch != nil {
 		a.DeliverBatch(inst, val)
 	}
-	a.deliverValues(inst, val, sup)
+	a.Tail.Batch(a.Trace, a.env, inst, val, sup)
 }
 
 // foldDedup folds a decided batch's stamped values into a NON-learner
@@ -1185,7 +1146,5 @@ func (a *MAgent) dropCoordState() {
 		a.env.Multicast(a.Cfg.Group, mDecision{Insts: b.Insts, Masks: b.Masks, VIDs: b.Vids, decBuf: a.armDecBuf(b)})
 	}
 	a.open = core.InstLog[openInst]{}
-	a.pending = a.pending[:0]
-	a.pendingBytes = 0
 	a.timersArmed = false
 }

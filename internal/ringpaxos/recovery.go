@@ -65,13 +65,13 @@ func (c *ringCore) LoseVolatile() {
 		// Nothing to replay: full rights would let an amnesiac vote again.
 		dur = DurVolatile
 	}
-	c.lay.loseState(dur != DurModeled)
+	c.batch.Reset()
 	switch dur {
 	case DurVolatile:
-		c.loseCoreState()
+		c.wipe()
 		c.retired = true
 	case DurWAL:
-		c.loseCoreState()
+		c.wipe()
 		c.replayWAL()
 	}
 	if c.failover.Enabled() && !c.retired {
@@ -82,15 +82,14 @@ func (c *ringCore) LoseVolatile() {
 	}
 }
 
-// loseCoreState wipes the core's share of what an honest Lose crash
-// destroys: promises, the coordinator role and the GC bookkeeping.
-func (c *ringCore) loseCoreState() {
+// wipe discards what an honest Lose crash destroys: the agent's stores,
+// and the core's promises, coordinator role and GC bookkeeping.
+func (c *ringCore) wipe() {
+	c.lay.loseState()
 	c.rnd, c.crnd = 0, 0
 	c.isCoord, c.phase1Done = false, false
 	c.promises = make(map[proto.NodeID]phase1B)
-	c.versions = core.VersionTracker{}
-	c.quarantine = nil
-	c.pool = core.BatchPool{}
+	c.gc = core.Trim{}
 	c.fo.tookOver = false
 }
 
@@ -104,13 +103,13 @@ func (c *ringCore) replayWAL() {
 	c.Log.Replay(func(r wal.Record) {
 		switch r.Kind {
 		case wal.KindSnapshot:
-			c.versions.SetFloor(r.Inst)
+			c.gc.SetFloor(r.Inst)
 		case wal.KindPromise:
 			if r.Rnd > c.rnd {
 				c.rnd = r.Rnd
 			}
 		default:
-			if r.Inst >= c.versions.Floor() {
+			if r.Inst >= c.gc.Floor() {
 				c.lay.replayRecord(r)
 			}
 		}

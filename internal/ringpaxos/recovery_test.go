@@ -280,8 +280,8 @@ func TestMRingSnapshotCatchUp(t *testing.T) {
 			t.Fatalf("caught-up learner diverges at tail offset %d", i)
 		}
 	}
-	if back.NextDeliver() <= d.agents[0].versions.Floor()-1 {
-		t.Fatalf("frontier %d did not pass the trim floor %d", back.NextDeliver(), d.agents[0].versions.Floor())
+	if back.NextDeliver() <= d.agents[0].gc.Floor()-1 {
+		t.Fatalf("frontier %d did not pass the trim floor %d", back.NextDeliver(), d.agents[0].gc.Floor())
 	}
 }
 

@@ -14,8 +14,8 @@ import (
 // package comment). Each agent embeds one by value, so per-message code
 // reaches it through static method calls.
 type ringCore struct {
-	// Deliver is invoked on learners for every value in delivery order.
-	Deliver core.DeliverFunc
+	// Tail holds the Deliver hook and the delivery counters of this learner.
+	core.Tail
 	// Log is this process's write-ahead log, required when Cfg.Durability
 	// is DurWAL. It models the stable medium, so the DEPLOYMENT owns it
 	// (the rig sets it before Start): it survives the agent's crash the
@@ -49,11 +49,10 @@ type ringCore struct {
 	// is enabled).
 	fo foState
 
-	// versions tracks learner-reported applied instances and the trim
-	// floor (§3.3.7) through the shared garbage-collection subsystem.
-	versions   core.VersionTracker
-	pool       core.BatchPool
-	quarantine [][]core.Value // trimmed pooled arrays awaiting one more GC round
+	// gc is the learner-version garbage collection (§3.3.7): who applied
+	// what, the trim floor, and the pool batch arrays cycle through.
+	gc    core.Trim
+	batch core.Batcher // the coordinator's staged values
 
 	// nextDeliver is the learner's in-order delivery frontier.
 	nextDeliver int64
@@ -66,16 +65,6 @@ type ringCore struct {
 	// being finished are duplicates (suppressed).
 	dedupSup []bool
 
-	// DeliveredBytes/DeliveredMsgs count application payload delivered at
-	// this learner.
-	DeliveredBytes int64
-	DeliveredMsgs  int64
-	// LatencySum accumulates propose-to-deliver latency for values whose
-	// Born field is set.
-	LatencySum   time.Duration
-	LatencyCount int64
-	// Latencies, if non-nil before Start, records each delivery latency.
-	Latencies *[]time.Duration
 	// DupSuppressed counts stamped commands that were decided again (a
 	// client retry won a second instance) and were acked from the dedup
 	// table instead of re-executed.
@@ -108,13 +97,12 @@ type layout interface {
 	// ringAdopted runs after the core installed a layout announced at
 	// round rnd.
 	ringAdopted(rnd int64)
-	// dropCoordState discards a stale coordinator's open instances and
-	// staged values; isCoord still holds while it runs.
+	// dropCoordState discards a stale coordinator's open instances;
+	// isCoord still holds while it runs.
 	dropCoordState()
-	// loseState discards what a Lose crash destroys: always the staged
-	// client values, and when honest every piece of acceptor and
-	// coordinator state the agent keeps outside the core.
-	loseState(honest bool)
+	// loseState discards what an honest Lose crash destroys of the acceptor
+	// and coordinator state the agent keeps outside the core.
+	loseState()
 	// replayRecord folds one vote or decision record into the stores.
 	replayRecord(r wal.Record)
 }
@@ -214,6 +202,7 @@ func (c *ringCore) standDown() {
 		return
 	}
 	c.lay.dropCoordState()
+	c.batch.Reset()
 	c.isCoord, c.phase1Done = false, false
 	c.fo.tookOver = false
 }
@@ -272,79 +261,20 @@ func (c *ringCore) adoptVotes(skip func(inst int64) bool) []adoption {
 
 // --- garbage collection (§3.3.7) ---
 
-// gcAdvance reports the instance range [lo, hi] every live learner has
-// applied, once the trim floor can move past it. The caller trims its own
-// store over the range — appending pooled batch arrays to quarantine —
-// and then calls gcTrimmed.
-func (c *ringCore) gcAdvance() (lo, hi int64, ok bool) {
-	lo, hi, ok = c.versions.Advance(c.versions.Expect(len(c.learners)))
-	if ok {
-		// Quarantine-then-recycle: arrays trimmed by the PREVIOUS pass go
-		// back to the pool now, a full version round later. At trim time
-		// every learner has reported the instance applied, but a learner
-		// that defers execution (ExecCost) or hands batches to a
-		// downstream consumer (the Multi-Ring Paxos merge) may still be
-		// holding the array for a short while; one extra GC round
-		// (≥ GCInterval) retires that window before reuse.
-		c.quarantine = c.pool.Recycle(c.quarantine)
-	}
-	return
-}
-
 // gcTrimmed trims what follows the store below the new floor.
 func (c *ringCore) gcTrimmed() {
 	if c.walOn() {
 		// The log trims in lockstep with the store, bounding replay work
 		// the same way garbage collection bounds acceptor memory.
-		c.Log.Trim(c.versions.Floor())
+		c.Log.Trim(c.gc.Floor())
 	}
 	// The dedup table trims in concert with the GC floor: rows of clients
 	// that announced departure (Retire) and whose last activity fell below
 	// the floor are dropped; live clients are never forgotten.
-	c.dedup.Trim(c.versions.Floor())
+	c.dedup.Trim(c.gc.Floor())
 }
 
-// --- learner tail ---
-
-// admit runs the exactly-once check over a finished batch and folds the
-// values that pass it into the delivery trace tr (nil: no trace). The
-// marks it returns tell deliverValues which values to suppress.
-func (c *ringCore) admit(inst int64, val core.Batch, tr *core.DelivTrace) []bool {
-	sup := c.dedupPass(inst, val)
-	if tr != nil {
-		now := c.env.Now()
-		for i, v := range val.Vals {
-			if sup != nil && sup[i] {
-				continue
-			}
-			tr.Note(now, inst, v)
-		}
-	}
-	return sup
-}
-
-// deliverValues counts and delivers the values of a finished batch that
-// admit did not suppress.
-func (c *ringCore) deliverValues(inst int64, val core.Batch, sup []bool) {
-	for i, v := range val.Vals {
-		if sup != nil && sup[i] {
-			continue
-		}
-		c.DeliveredBytes += int64(v.Bytes)
-		c.DeliveredMsgs++
-		if v.Born != 0 {
-			lat := c.env.Now() - v.Born
-			c.LatencySum += lat
-			c.LatencyCount++
-			if c.Latencies != nil {
-				*c.Latencies = append(*c.Latencies, lat)
-			}
-		}
-		if c.Deliver != nil {
-			c.Deliver(inst, v)
-		}
-	}
-}
+// --- exactly-once check ---
 
 // dedupPass runs the exactly-once check over a finished batch: the first
 // application of a stamped (client, seq) commits it to the dedup table
@@ -353,8 +283,9 @@ func (c *ringCore) deliverValues(inst int64, val core.Batch, sup []bool) {
 // suppression — not traced, not delivered, not executed. The decision is
 // a pure function of the decided sequence and the table it built, so
 // every learner suppresses the same instances and delivered sequences
-// stay replica-identical. Returns nil, at the cost of one field compare
-// per value, when the batch carries no stamped values.
+// stay replica-identical; the marks go to the delivery tail. Returns nil,
+// at the cost of one field compare per value, when the batch carries no
+// stamped values.
 func (c *ringCore) dedupPass(inst int64, val core.Batch) []bool {
 	stamped := false
 	for i := range val.Vals {

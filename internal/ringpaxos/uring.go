@@ -101,12 +101,8 @@ type UAgent struct {
 	ringCore
 
 	// coordinator state
-	pending      core.ValueSlab
-	pendingBytes int
-	batchArmed   bool
-	batchFn      func()
-	next         int64
-	openCount    int
+	next      int64
+	openCount int
 
 	// acceptor state
 	votes core.InstLog[vote]
@@ -119,7 +115,7 @@ type UAgent struct {
 	versionFn func()
 
 	// learner state
-	learned core.InstLog[core.Batch]
+	learned core.Reorder
 }
 
 var _ proto.Handler = (*UAgent)(nil)
@@ -131,7 +127,7 @@ func (a *UAgent) Start(env proto.Env) {
 		learners: a.Cfg.Learners, retry: a.Cfg.Retry, failover: a.Cfg.Failover,
 		durability: a.Cfg.Durability, diskSync: a.Cfg.DiskSync,
 	}, a.Cfg.Ring, a.Cfg.NumAcceptors)
-	a.batchFn = func() { a.batchArmed = false; a.flush() }
+	a.batch.Init(env, a.Cfg.BatchDelay, a.flush)
 	a.versionFn = a.versionTick
 	if env.ID() == a.Cfg.Coordinator() {
 		a.becomeCoordinator(1, a.Cfg.Ring, a.Cfg.NumAcceptors)
@@ -228,12 +224,7 @@ func (a *UAgent) Receive(from proto.NodeID, m proto.Message) {
 
 // loseState implements layout: an honest crash takes the vote log and the
 // coordinator's window accounting.
-func (a *UAgent) loseState(honest bool) {
-	a.pending.PopFront(a.pending.Len())
-	a.pendingBytes = 0
-	if !honest {
-		return
-	}
+func (a *UAgent) loseState() {
 	a.votes = core.InstLog[vote]{}
 	a.openCount = 0
 	a.next = 0
@@ -254,15 +245,8 @@ func (a *UAgent) replayRecord(r wal.Record) {
 // --- coordinator ---
 
 func (a *UAgent) enqueue(v core.Value) {
-	a.pending.Push(v)
-	a.pendingBytes += v.Bytes
-	if a.pendingBytes >= a.Cfg.BatchBytes {
+	if a.batch.Add(v, a.Cfg.BatchBytes) {
 		a.flush()
-		return
-	}
-	if !a.batchArmed {
-		a.batchArmed = true
-		proto.AfterFree(a.env, a.Cfg.BatchDelay, a.batchFn)
 	}
 }
 
@@ -270,11 +254,9 @@ func (a *UAgent) flush() {
 	if !a.isCoord || !a.phase1Done {
 		return
 	}
-	for a.pending.Len() > 0 && a.openCount < a.Cfg.Window {
+	for a.batch.Len() > 0 && a.openCount < a.Cfg.Window {
 		pooled := a.Cfg.RecycleBatches && a.Cfg.GCInterval > 0
-		b, bytes := core.DrainBatch(&a.pending, &a.pool, pooled, a.Cfg.BatchBytes)
-		a.pendingBytes -= bytes
-		a.startInstance(b, pooled)
+		a.startInstance(a.batch.Cut(&a.gc.Pool, pooled, a.Cfg.BatchBytes), pooled)
 	}
 }
 
@@ -324,7 +306,7 @@ func (a *UAgent) onPhase1A(from proto.NodeID, m phase1A) {
 		return
 	}
 	a.rnd = m.Rnd
-	reply := phase1B{Rnd: a.rnd, Votes: make(map[int64]vote), Floor: a.versions.Floor()}
+	reply := phase1B{Rnd: a.rnd, Votes: make(map[int64]vote), Floor: a.gc.Floor()}
 	a.votes.Range(func(inst int64, v *vote) bool {
 		reply.Votes[inst] = *v
 		return true
@@ -343,9 +325,9 @@ func (a *UAgent) onPhase1B(from proto.NodeID, m phase1B) {
 	// Adopt the quorum's highest trim floor first: the floor guard below
 	// then filters votes for instances some acceptor already trimmed.
 	for _, p := range a.promises {
-		a.versions.SetFloor(p.Floor)
+		a.gc.SetFloor(p.Floor)
 	}
-	if f := a.versions.Floor(); f > a.next {
+	if f := a.gc.Floor(); f > a.next {
 		// Resume numbering above the trimmed prefix: a fresh instance
 		// below the floor would ghost in our own vote ring and stall
 		// mid-ring at any acceptor that already trimmed it.
@@ -365,7 +347,7 @@ func (a *UAgent) onPhase1B(from proto.NodeID, m phase1B) {
 		a.env.Send(a.succ(), uRingChange{ringAt: ringAt{a.crnd, a.ring, a.nacc}})
 	}
 	for _, ad := range adopted {
-		if ad.inst < a.versions.Floor() {
+		if ad.inst < a.gc.Floor() {
 			// Globally applied and trimmed: acceptors that trimmed the
 			// instance drop its Phase 2 at the floor guard, so re-opening
 			// it could never complete its ring pass. Instances this node
@@ -401,7 +383,7 @@ func (a *UAgent) onPhase2(m *uPhase2) {
 		uPhase2Pool.Put(m)
 		return
 	}
-	if m.Inst < a.versions.Floor() {
+	if m.Inst < a.gc.Floor() {
 		// Straggler for a trimmed (globally applied) instance: re-creating
 		// its vote below the GC floor would leave a permanent ghost in the
 		// instance ring, since garbage collection never looks below the
@@ -499,34 +481,16 @@ func (a *UAgent) releaseWindow() {
 
 // deliverLocal records and, in instance order, delivers a decision.
 func (a *UAgent) deliverLocal(m *uDecision) {
-	if !a.isLearner() {
+	if !a.isLearner() || !a.learned.Hold(a.nextDeliver, m.Inst, m.Val) {
 		return
 	}
-	if m.Inst < a.nextDeliver {
-		return
-	}
-	e, existed := a.learned.Put(m.Inst)
-	if existed {
-		return
-	}
-	*e = m.Val
-	a.drain()
-}
-
-func (a *UAgent) drain() {
 	for {
-		e, ok := a.learned.Get(a.nextDeliver)
+		inst, b, ok := a.learned.Take(&a.nextDeliver)
 		if !ok {
 			return
 		}
-		inst := a.nextDeliver
-		b := *e
-		a.learned.Delete(inst)
-		a.nextDeliver++
 		if a.Cfg.ExecCost > 0 && len(b.Vals) > 0 {
-			a.env.Work(time.Duration(len(b.Vals))*a.Cfg.ExecCost, func() {
-				a.finishBatch(inst, b)
-			})
+			a.env.Work(time.Duration(len(b.Vals))*a.Cfg.ExecCost, func() { a.finishBatch(inst, b) })
 			continue
 		}
 		a.finishBatch(inst, b)
@@ -534,7 +498,7 @@ func (a *UAgent) drain() {
 }
 
 func (a *UAgent) finishBatch(inst int64, b core.Batch) {
-	a.deliverValues(inst, b, a.admit(inst, b, a.Trace))
+	a.Tail.Batch(a.Trace, a.env, inst, b, a.dedupPass(inst, b))
 }
 
 // --- garbage collection (shared subsystem, §3.3.7) ---
@@ -545,7 +509,7 @@ func (a *UAgent) finishBatch(inst int64, b core.Batch) {
 // learner's version without any extra fan-out.
 func (a *UAgent) versionTick() {
 	v := a.nextDeliver - 1
-	a.versions.Report(int64(a.env.ID()), v)
+	a.gc.Report(int64(a.env.ID()), v)
 	a.trimLogs()
 	if len(a.ring) > 1 {
 		a.env.Send(a.succ(), proto.VersionReport{From: a.env.ID(), Inst: v})
@@ -556,7 +520,7 @@ func (a *UAgent) versionTick() {
 // onVersionReport records a circulating report and forwards it until it
 // has completed one revolution (the originator recorded itself at send).
 func (a *UAgent) onVersionReport(m proto.VersionReport) {
-	a.versions.Report(int64(m.From), m.Inst)
+	a.gc.Report(int64(m.From), m.Inst)
 	a.trimLogs()
 	m.Hops++
 	if m.Hops < len(a.ring)-1 {
@@ -566,15 +530,15 @@ func (a *UAgent) onVersionReport(m proto.VersionReport) {
 
 // trimLogs drops vote-log entries for globally applied instances once
 // every learner has reported. Arrays owned by the coordinator's batch pool
-// are quarantined for one GC round before reuse (see gcAdvance).
+// are quarantined for one GC round before reuse (see core.Trim).
 func (a *UAgent) trimLogs() {
-	lo, hi, ok := a.gcAdvance()
+	lo, hi, ok := a.gc.Advance(len(a.learners))
 	if !ok {
 		return
 	}
 	a.votes.Trim(lo, hi, func(_ int64, v *vote) {
 		if v.pooled {
-			a.quarantine = append(a.quarantine, v.val.Vals)
+			a.gc.Retire(v.val.Vals)
 		}
 	})
 	a.gcTrimmed()
@@ -599,11 +563,7 @@ func (a *UAgent) onRingChange(m uRingChange) {
 }
 
 // dropCoordState implements layout.
-func (a *UAgent) dropCoordState() {
-	a.pending.PopFront(a.pending.Len())
-	a.pendingBytes = 0
-	a.openCount = 0
-}
+func (a *UAgent) dropCoordState() { a.openCount = 0 }
 
 // LiveLogLen reports how many per-instance records this agent currently
 // retains (acceptor vote log plus learner reorder buffer). Soak workloads

@@ -182,23 +182,7 @@ func (dep *Deployment) Run(d time.Duration) { dep.LAN.Run(d) }
 // Measure runs for warmup+dur and returns throughput in requests/second and
 // the mean latency over the measured window.
 func (dep *Deployment) Measure(warmup, dur time.Duration) (float64, time.Duration) {
-	dep.Run(warmup)
-	var c0 int64
-	var l0 time.Duration
-	for _, c := range dep.Clients {
-		c0 += c.Completed
-		l0 += c.LatencySum
-	}
-	dep.Run(dur)
-	var c1 int64
-	var l1 time.Duration
-	for _, c := range dep.Clients {
-		c1 += c.Completed
-		l1 += c.LatencySum
-	}
-	n := c1 - c0
-	if n == 0 {
-		return 0, 0
-	}
-	return float64(n) / dur.Seconds(), (l1 - l0) / time.Duration(n)
+	return core.MeasureClients(dep.Run, dep.Clients, (*Client).done, warmup, dur)
 }
+
+func (c *Client) done() (int64, time.Duration) { return c.Completed, c.LatencySum }
