@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/proto"
@@ -20,10 +21,18 @@ import (
 // model's single-threaded contract. ip-multicast is implemented as sender
 // fan-out, which keeps the semantics (every subscriber receives the
 // message) even though in-process transport has no real switch.
+//
+// Membership is frozen at Start: nodes, group subscriptions and the WAL
+// directory are set up under mu before it and never change after, which is
+// what lets the per-message paths (Send, SendUDP, Multicast, DiskWrite)
+// read them without taking a lock.
 type Cluster struct {
-	mu     sync.Mutex
-	nodes  map[proto.NodeID]*ClusterNode
-	groups map[proto.GroupID]map[proto.NodeID]bool
+	mu      sync.Mutex // guards setup and the started/closed transitions
+	nodes   map[proto.NodeID]*ClusterNode
+	subs    map[proto.GroupID]map[proto.NodeID]bool
+	started bool
+	// groups is each group's fan-out list, resolved from subs at Start.
+	groups map[proto.GroupID][]*ClusterNode
 	start  time.Time
 	seed   int64
 	closed bool
@@ -32,15 +41,15 @@ type Cluster struct {
 	// synchronous append to dir/node-<id>.wal (see EnableWAL). walErr
 	// records the first file error; writes degrade to in-memory after it.
 	walDir string
-	walErr error
+	walErr atomic.Pointer[error]
 }
 
 // NewCluster returns an empty realtime cluster.
 func NewCluster(seed int64) *Cluster {
 	return &Cluster{
-		nodes:  make(map[proto.NodeID]*ClusterNode),
-		groups: make(map[proto.GroupID]map[proto.NodeID]bool),
-		seed:   seed,
+		nodes: make(map[proto.NodeID]*ClusterNode),
+		subs:  make(map[proto.GroupID]map[proto.NodeID]bool),
+		seed:  seed,
 	}
 }
 
@@ -66,10 +75,20 @@ var (
 	_ proto.FreeTimerEnv = (*ClusterNode)(nil)
 )
 
-// AddNode installs a handler on a new node. Call before Start.
+// mustBeSetup panics when op comes after Start. A node added late would
+// have no loop: senders would fill its inbox and then block for good.
+// Callers hold mu.
+func (c *Cluster) mustBeSetup(op string) {
+	if c.started {
+		panic("repro: Cluster." + op + " after Start: membership is frozen once the cluster runs")
+	}
+}
+
+// AddNode installs a handler on a new node. It panics after Start.
 func (c *Cluster) AddNode(id NodeID, h Handler) *ClusterNode {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.mustBeSetup("AddNode")
 	n := &ClusterNode{
 		id:      id,
 		c:       c,
@@ -82,29 +101,48 @@ func (c *Cluster) AddNode(id NodeID, h Handler) *ClusterNode {
 	return n
 }
 
-// Subscribe adds node id to multicast group g. Call before Start.
+// Subscribe adds node id to multicast group g; the node may be added
+// later. It panics after Start.
 func (c *Cluster) Subscribe(g GroupID, id NodeID) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	set := c.groups[g]
+	c.mustBeSetup("Subscribe")
+	set := c.subs[g]
 	if set == nil {
 		set = make(map[proto.NodeID]bool)
-		c.groups[g] = set
+		c.subs[g] = set
 	}
 	set[id] = true
 }
 
-// Start launches every node's loop and invokes the handlers' Start
-// callbacks on their own goroutines.
+// Start freezes membership, launches every node's loop and invokes the
+// handlers' Start callbacks on their own goroutines. It panics when called
+// twice: a second loop per node would break the one-goroutine-per-actor
+// contract.
 func (c *Cluster) Start() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.mustBeSetup("Start")
+	c.started = true
+	c.groups = make(map[proto.GroupID][]*ClusterNode, len(c.subs))
+	for g, set := range c.subs {
+		var dsts []*ClusterNode
+		for id := range set {
+			if d := c.nodes[id]; d != nil {
+				dsts = append(dsts, d)
+			}
+		}
+		c.groups[g] = dsts
+	}
 	c.start = time.Now()
+	// Every inbox gets its Start before any loop runs: a handler must see
+	// Start ahead of the first message a faster neighbour sends it.
 	for _, n := range c.nodes {
-		n := n
+		n.enqueue(func() { n.handler.Start(n) })
+	}
+	for _, n := range c.nodes {
 		c.wg.Add(1)
 		go n.loop(&c.wg)
-		n.enqueue(func() { n.handler.Start(n) })
 	}
 }
 
@@ -172,9 +210,7 @@ func (n *ClusterNode) Rand() *rand.Rand { return n.rng }
 
 // Send implements Env: in-process channels are reliable and FIFO.
 func (n *ClusterNode) Send(to NodeID, m Message) {
-	n.c.mu.Lock()
 	dst := n.c.nodes[to]
-	n.c.mu.Unlock()
 	if dst == nil {
 		return
 	}
@@ -186,9 +222,7 @@ func (n *ClusterNode) Send(to NodeID, m Message) {
 // datagram semantics (no backpressure guarantee) are preserved by dropping
 // when the destination's inbox is full.
 func (n *ClusterNode) SendUDP(to NodeID, m Message) {
-	n.c.mu.Lock()
 	dst := n.c.nodes[to]
-	n.c.mu.Unlock()
 	if dst == nil {
 		return
 	}
@@ -201,17 +235,8 @@ func (n *ClusterNode) SendUDP(to NodeID, m Message) {
 
 // Multicast implements Env by fanning out to every subscriber.
 func (n *ClusterNode) Multicast(g GroupID, m Message) {
-	n.c.mu.Lock()
-	var dsts []*ClusterNode
-	for id := range n.c.groups[g] {
-		if d := n.c.nodes[id]; d != nil {
-			dsts = append(dsts, d)
-		}
-	}
-	n.c.mu.Unlock()
 	from := n.id
-	for _, dst := range dsts {
-		dst := dst
+	for _, dst := range n.c.groups[g] {
 		select {
 		case dst.inbox <- func() { dst.handler.Receive(from, m) }:
 		default:
@@ -260,15 +285,19 @@ func (n *ClusterNode) Work(d time.Duration, fn func()) {
 // true fsync latency instead of completing instantly. The files carry
 // the modeled byte volume, not a parseable record encoding — the logical
 // records live in the protocol's wal.Log; the file is the timing and
-// durability substrate. Call before Start. The first file error is
-// remembered (WALError) and subsequent writes degrade to in-memory.
+// durability substrate. The directory is fixed at Start; a later call is
+// an error. The first file error is remembered (WALError) and subsequent
+// writes degrade to in-memory.
 func (c *Cluster) EnableWAL(dir string) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.started {
+		return fmt.Errorf("repro: Cluster.EnableWAL after Start")
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	c.mu.Lock()
 	c.walDir = dir
-	c.mu.Unlock()
 	return nil
 }
 
@@ -276,17 +305,14 @@ func (c *Cluster) EnableWAL(dir string) error {
 // nil. Writes after an error complete in-memory, so a full disk degrades
 // durability, never liveness.
 func (c *Cluster) WALError() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.walErr
+	if p := c.walErr.Load(); p != nil {
+		return *p
+	}
+	return nil
 }
 
 func (c *Cluster) noteWALErr(err error) {
-	c.mu.Lock()
-	if c.walErr == nil {
-		c.walErr = err
-	}
-	c.mu.Unlock()
+	c.walErr.CompareAndSwap(nil, &err)
 }
 
 // walZeros is the shared source buffer for modeled durable writes.
@@ -322,10 +348,7 @@ func (n *ClusterNode) diskAppend(size int) {
 // with EnableWAL the bytes hit a real O_SYNC file first, on the node's
 // own loop, before the completion runs.
 func (n *ClusterNode) DiskWrite(size int, fn func()) {
-	n.c.mu.Lock()
-	backed := n.c.walDir != "" && n.c.walErr == nil
-	n.c.mu.Unlock()
-	if !backed {
+	if n.c.walDir == "" || n.c.walErr.Load() != nil {
 		n.enqueue(fn)
 		return
 	}

@@ -38,7 +38,6 @@ func main() {
 			applied[node]++
 			mu.Unlock()
 		},
-		BatchDelay: time.Millisecond,
 	})
 	cluster.Start()
 	defer cluster.Stop()

@@ -12,19 +12,30 @@ package bench
 // Entries describe the most recent deliberate re-pin only; a future
 // re-pin replaces the map wholesale (git history keeps the past).
 //
-// The current re-pin covers a single experiment: basic Paxos in the
-// multicast wiring no longer pools the Phase 2B it sends over SendUDP.
-// The fault layer's 1% datagram duplication delivered the same pointer to
-// the coordinator twice; the first delivery recycled it, so the duplicate
-// was read after it had been zeroed or handed to another sender. The old
-// pin (f8b34197…) was that use-after-recycle schedule and only reproduced
-// while sync.Pool kept handing the same object back; the new one
-// (922f7a87…) is what a never-recycled 2B produces every time. The
-// delivery and safety digests stayed byte-identical.
-const repinPaxos2B = "multicast-mode Phase 2B is no longer pooled: a duplicated datagram was recycled on first delivery and read again after reuse (use-after-recycle), which also made the old pin flaky under GC pressure"
+// The current re-pin covers the five U-Ring families, and only them: the
+// U-Ring coordinator became self-clocked (ringpaxos.UAgent.enqueue). A
+// value that finds the ready coordinator idle — nothing staged, no
+// instance open — leaves at once in its own instance with no flush timer;
+// values arriving behind an open instance still batch and leave with the
+// window release. Instance boundaries therefore move: the coordinator
+// cuts more, smaller instances, so the four families that pin delivery
+// (fault.uring, fault.failover.uring, fault.recovery.uring, soak.uring)
+// moved their delivery pins with the output, and fault.client.uring moved
+// its output only. Checked by diffing every learner's value-id sequence of
+// every seed against the parent: value ORDER is unchanged everywhere; a
+// run differs only in how far it got (the new one delivers a few values
+// more by the end of the window) and, across a permanent coordinator
+// kill, in which tail values died with the coordinator (1-3 values the
+// parent still held in staging had already left). Safety pins, every
+// fig*/tab* pin and all ci/budgets.json ceilings held.
+const repinURingSelfClocked = "U-Ring coordinator is self-clocked: a value arriving at an idle coordinator (nothing staged, no open instance) is proposed at once instead of waiting out BatchDelay, so instances are cut at different points; per-learner value order is unchanged"
 
 var outputRepins = map[string]string{
-	"fault.paxos": repinPaxos2B,
+	"fault.uring":          repinURingSelfClocked,
+	"fault.failover.uring": repinURingSelfClocked,
+	"fault.recovery.uring": repinURingSelfClocked,
+	"fault.client.uring":   repinURingSelfClocked,
+	"soak.uring":           repinURingSelfClocked,
 }
 
 // RepinNote returns the provenance note for an experiment whose output

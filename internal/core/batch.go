@@ -12,6 +12,13 @@ import (
 // differs between them — the packet size, whether batch arrays are pooled,
 // partition-aware grouping — is an argument of the call.
 //
+// M-Ring, basic Paxos, S-Paxos and LCR stage every value with Add, which
+// keeps a flush timer in flight whenever something is staged below the
+// packet size: their figures pin that schedule. The U-Ring coordinator
+// calls Add only for values that arrive behind an open instance; one that
+// finds it idle is staged with Stage and cut at once, because a decision
+// coming round the ring — not a timer — is what clocks its next batch.
+//
 // Staging reuses one backing array and zeroes the slots of cut or dropped
 // values, so steady-state batching allocates nothing beyond the batch
 // arrays and keeps no payload reachable once it left.
@@ -37,7 +44,8 @@ func (b *Batcher) Init(env proto.Env, delay time.Duration, flush func()) {
 func (b *Batcher) Len() int { return b.slab.Len() }
 
 // Stage queues v without a flush timer, for owners whose cut is driven by
-// something else (the token ring cuts at token visits).
+// something else (the token ring cuts at token visits, the U-Ring
+// coordinator cuts an idle arrival at once).
 func (b *Batcher) Stage(v Value) {
 	b.slab.Push(v)
 	b.bytes += v.Bytes

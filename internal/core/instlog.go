@@ -110,6 +110,12 @@ func (l *InstLog[T]) Trim(lo, hi int64, drop func(inst int64, v *T)) {
 			l.Delete(inst)
 		}
 	}
+	if l.n == 0 {
+		// The ring doubled to the peak live span; an emptied log gives it
+		// back and the next Put regrows from instLogMinSize, so occupancy
+		// follows the live span instead of its high-water mark.
+		l.slots = nil
+	}
 }
 
 // Range calls f for every live entry until f returns false. Iteration

@@ -1,6 +1,9 @@
 package core
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 func TestInstLogBasics(t *testing.T) {
 	var l InstLog[int]
@@ -134,6 +137,137 @@ func TestInstLogRange(t *testing.T) {
 	l.Range(func(int64, *int) bool { n++; return false })
 	if n != 1 {
 		t.Fatalf("early-stop Range visited %d", n)
+	}
+}
+
+// TestInstLogTrimToEmptyReleasesRing: the ring doubles to the peak live
+// span, and a Trim that leaves the log empty gives it back, after which the
+// log behaves as the zero value and the next Put regrows from the minimum.
+func TestInstLogTrimToEmptyReleasesRing(t *testing.T) {
+	var l InstLog[int64]
+	for inst := int64(0); inst < 1000; inst++ {
+		v, _ := l.Put(inst)
+		*v = inst
+	}
+	if len(l.slots) < 1000 {
+		t.Fatalf("ring holds %d slots for 1000 live instances", len(l.slots))
+	}
+	l.Trim(0, 998, nil)
+	if l.Len() != 1 || l.slots == nil {
+		t.Fatalf("Len=%d slots=%d: a log that is not empty must keep its ring", l.Len(), len(l.slots))
+	}
+	dropped := 0
+	l.Trim(0, 999, func(inst int64, v *int64) { dropped++ })
+	if dropped != 1 || l.Len() != 0 || l.slots != nil {
+		t.Fatalf("dropped=%d Len=%d slots=%d, want the last entry dropped and the ring released", dropped, l.Len(), len(l.slots))
+	}
+	if _, ok := l.Get(999); ok || l.Has(5) || l.Delete(5) {
+		t.Fatal("released log still answers for a trimmed instance")
+	}
+	l.Range(func(int64, *int64) bool { t.Fatal("Range visited an entry of a released log"); return false })
+	l.Trim(0, 2000, func(int64, *int64) { t.Fatal("Trim dropped an entry of a released log") })
+	v, existed := l.Put(1000)
+	if existed || len(l.slots) != instLogMinSize {
+		t.Fatalf("Put after release: existed=%v slots=%d, want a fresh ring of %d", existed, len(l.slots), instLogMinSize)
+	}
+	*v = 7
+	if got, ok := l.Get(1000); !ok || *got != 7 || l.Len() != 1 {
+		t.Fatal("Put after release did not round-trip")
+	}
+}
+
+// TestInstLogSteadyTrimAllocFree: a log that never empties keeps its ring,
+// so the sliding Put+Trim of a loaded protocol allocates nothing.
+func TestInstLogSteadyTrimAllocFree(t *testing.T) {
+	var l InstLog[int64]
+	const window = 40
+	next := int64(0)
+	for ; next < window; next++ {
+		l.Put(next)
+	}
+	slots := len(l.slots)
+	round := func() {
+		for i := 0; i < 8; i++ {
+			l.Put(next)
+			next++
+		}
+		l.Trim(next-window-8, next-window-1, nil)
+	}
+	if allocs := testing.AllocsPerRun(500, round); allocs != 0 {
+		t.Fatalf("steady Put+Trim allocates %.1f per round", allocs)
+	}
+	if l.Len() != window || len(l.slots) != slots {
+		t.Fatalf("Len=%d slots=%d, want %d and %d", l.Len(), len(l.slots), window, slots)
+	}
+}
+
+// TestInstLogModel drives random put / delete / trim operations over a
+// sliding span of instances against a map, with trims that regularly empty
+// the log, so release and regrowth are exercised between ordinary use.
+func TestInstLogModel(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var l InstLog[int64]
+		model := map[int64]int64{}
+		base, emptied := int64(0), 0
+		for op := 0; op < 5000; op++ {
+			inst := base + rng.Int63n(96)
+			switch r := rng.Intn(20); {
+			case r < 10:
+				v, existed := l.Put(inst)
+				if _, want := model[inst]; existed != want {
+					t.Fatalf("seed %d op %d: Put(%d) existed=%v, model says %v", seed, op, inst, existed, want)
+				}
+				*v = int64(op)
+				model[inst] = int64(op)
+			case r < 14:
+				_, want := model[inst]
+				if got := l.Delete(inst); got != want {
+					t.Fatalf("seed %d op %d: Delete(%d)=%v, model says %v", seed, op, inst, got, want)
+				}
+				delete(model, inst)
+			case r < 18: // trim a prefix of the span, as a GC round does
+				hi := base + rng.Int63n(48)
+				l.Trim(base, hi, func(i int64, v *int64) {
+					if want, ok := model[i]; !ok || want != *v {
+						t.Fatalf("seed %d op %d: Trim dropped %d=%d, model has %d (%v)", seed, op, i, *v, want, ok)
+					}
+					delete(model, i)
+				})
+				base = hi + 1
+			default: // everything applied: the trim that empties the log
+				l.Trim(base, base+96, nil)
+				clear(model)
+				base += 97
+				if l.slots != nil {
+					t.Fatalf("seed %d op %d: a trim that emptied the log kept its ring", seed, op)
+				}
+			}
+			if l.Len() != len(model) {
+				t.Fatalf("seed %d op %d: Len=%d, model has %d", seed, op, l.Len(), len(model))
+			}
+			if l.Len() == 0 && l.slots == nil {
+				emptied++
+			}
+			want, has := model[inst]
+			if got, ok := l.Get(inst); ok != has || (ok && *got != want) {
+				t.Fatalf("seed %d op %d: Get(%d) disagrees with the model", seed, op, inst)
+			}
+		}
+		seen := 0
+		l.Range(func(i int64, v *int64) bool {
+			if want, ok := model[i]; !ok || want != *v {
+				t.Fatalf("seed %d: Range yields %d=%d, model has %d (%v)", seed, i, *v, want, ok)
+			}
+			seen++
+			return true
+		})
+		if seen != len(model) {
+			t.Fatalf("seed %d: Range visited %d of %d entries", seed, seen, len(model))
+		}
+		if emptied < 50 {
+			t.Fatalf("seed %d: the log was released only %d times; the model test lost its point", seed, emptied)
+		}
 	}
 }
 

@@ -28,7 +28,12 @@ type UConfig struct {
 	Window int
 	// BatchBytes is the packet size (paper: 32 KB for U-Ring Paxos).
 	BatchBytes int
-	// BatchDelay flushes a non-empty batch after this delay.
+	// BatchDelay is the upper bound on how long a staged value waits. The
+	// coordinator is self-clocked: a value that finds it ready and idle
+	// (nothing staged, no instance open) is proposed at once, with no
+	// timer; values arriving behind an open instance batch and leave when
+	// a decision frees the window or they fill BatchBytes. The delay only
+	// bounds the wait when neither happens. Zero resolves to 500 µs.
 	BatchDelay time.Duration
 	// Retry is the Phase 1 retransmission timeout.
 	Retry time.Duration
@@ -244,7 +249,18 @@ func (a *UAgent) replayRecord(r wal.Record) {
 
 // --- coordinator ---
 
+// enqueue is self-clocked (Nagle's rule): a value that finds the ready
+// coordinator idle — nothing staged, no instance open — leaves at once
+// with no flush timer armed. Any other value is staged behind the open
+// instances and leaves with the next window release or at BatchBytes; the
+// BatchDelay timer only bounds the wait when neither comes (Phase 1 still
+// running, a decision lost at a failover).
 func (a *UAgent) enqueue(v core.Value) {
+	if a.isCoord && a.phase1Done && a.openCount == 0 && a.batch.Len() == 0 {
+		a.batch.Stage(v)
+		a.flush()
+		return
+	}
 	if a.batch.Add(v, a.Cfg.BatchBytes) {
 		a.flush()
 	}

@@ -13,8 +13,8 @@ import (
 // application (U-Ring Paxos because plain sockets have no ip-multicast,
 // §3.3.3).
 type ReplicatedLog struct {
-	cluster *Cluster
-	agents  map[NodeID]*URingAgent
+	agents map[NodeID]*URingAgent
+	nodes  map[NodeID]*ClusterNode
 }
 
 // LogConfig configures a ReplicatedLog.
@@ -23,7 +23,13 @@ type LogConfig struct {
 	Nodes []NodeID
 	// Deliver is invoked on each node, in the agreed total order.
 	Deliver func(node NodeID, inst int64, v Value)
-	// BatchDelay bounds how long small values wait for batching.
+	// BatchDelay is an upper bound, not a cost every append pays: the ring
+	// coordinator is self-clocked. A value that finds it idle (nothing
+	// staged, no instance open) is proposed at once and commits in ring-hop
+	// time; values that arrive while an instance is open are batched behind
+	// it and leave when it is decided, or when they fill a packet. The
+	// delay only bounds the wait of a staged value when neither happens.
+	// Zero resolves to 500 µs.
 	BatchDelay time.Duration
 	// GCInterval is the learner-version garbage collection period
 	// (§3.3.7): every node periodically reports its applied instance and
@@ -48,7 +54,7 @@ type LogConfig struct {
 // file-backed durable writes; an unusable directory surfaces through
 // Cluster.WALError after the first append.
 func NewReplicatedLog(c *Cluster, cfg LogConfig) *ReplicatedLog {
-	l := &ReplicatedLog{cluster: c, agents: make(map[NodeID]*URingAgent)}
+	l := &ReplicatedLog{agents: make(map[NodeID]*URingAgent), nodes: make(map[NodeID]*ClusterNode)}
 	ucfg := ringpaxos.UConfig{
 		Ring:       cfg.Nodes,
 		Learners:   cfg.Nodes,
@@ -71,7 +77,7 @@ func NewReplicatedLog(c *Cluster, cfg LogConfig) *ReplicatedLog {
 			a.Deliver = func(inst int64, v Value) { cfg.Deliver(id, inst, v) }
 		}
 		l.agents[id] = a
-		c.AddNode(id, a)
+		l.nodes[id] = c.AddNode(id, a)
 	}
 	return l
 }
@@ -79,7 +85,7 @@ func NewReplicatedLog(c *Cluster, cfg LogConfig) *ReplicatedLog {
 // Propose submits v from the given ring node.
 func (l *ReplicatedLog) Propose(from NodeID, v Value) {
 	if a, ok := l.agents[from]; ok {
-		l.cluster.Node(from).enqueue(func() { a.Propose(v) })
+		l.nodes[from].enqueue(func() { a.Propose(v) })
 	}
 }
 
