@@ -1,11 +1,12 @@
 package repro
 
-// One testing.B target per table and figure of the dissertation's
-// evaluation sections. Each benchmark regenerates its artifact on the
-// simulated cluster and prints the measured series (first iteration only;
-// repeat iterations, if the benchmark framework requests them, run
-// silently). `go test -bench=. -benchmem` therefore reproduces the whole
-// evaluation; cmd/repro runs individual experiments.
+// One sub-benchmark per registered experiment — every table and figure of
+// the dissertation's evaluation sections and every fault/soak family. Each
+// regenerates its artifact on the simulated cluster and prints the measured
+// series (first iteration only; repeat iterations, if the benchmark
+// framework requests them, run silently). `go test -bench=. -benchmem`
+// therefore reproduces the whole evaluation; cmd/repro runs individual
+// experiments.
 
 import (
 	"io"
@@ -15,67 +16,16 @@ import (
 	"repro/internal/bench"
 )
 
-func benchExp(b *testing.B, id string) {
-	b.Helper()
-	e, ok := bench.Get(id)
-	if !ok {
-		b.Fatalf("unknown experiment %q", id)
-	}
-	for i := 0; i < b.N; i++ {
-		w := io.Writer(io.Discard)
-		if i == 0 {
-			w = os.Stdout
-		}
-		e.Run(w)
+func BenchmarkExperiment(b *testing.B) {
+	for _, e := range bench.All() {
+		b.Run(e.ID, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				w := io.Writer(io.Discard)
+				if i == 0 {
+					w = os.Stdout
+				}
+				e.Run(w)
+			}
+		})
 	}
 }
-
-func BenchmarkTab3_1(b *testing.B)  { benchExp(b, "tab3.1") }
-func BenchmarkFig3_2(b *testing.B)  { benchExp(b, "fig3.2") }
-func BenchmarkFig3_3(b *testing.B)  { benchExp(b, "fig3.3") }
-func BenchmarkFig3_4(b *testing.B)  { benchExp(b, "fig3.4") }
-func BenchmarkFig3_7(b *testing.B)  { benchExp(b, "fig3.7") }
-func BenchmarkTab3_2(b *testing.B)  { benchExp(b, "tab3.2") }
-func BenchmarkFig3_8(b *testing.B)  { benchExp(b, "fig3.8") }
-func BenchmarkFig3_9(b *testing.B)  { benchExp(b, "fig3.9") }
-func BenchmarkFig3_10(b *testing.B) { benchExp(b, "fig3.10") }
-func BenchmarkFig3_11(b *testing.B) { benchExp(b, "fig3.11") }
-func BenchmarkFig3_12(b *testing.B) { benchExp(b, "fig3.12") }
-func BenchmarkFig3_13(b *testing.B) { benchExp(b, "fig3.13") }
-func BenchmarkFig3_14(b *testing.B) { benchExp(b, "fig3.14") }
-func BenchmarkTab3_3(b *testing.B)  { benchExp(b, "tab3.3") }
-func BenchmarkTab3_4(b *testing.B)  { benchExp(b, "tab3.4") }
-
-func BenchmarkFig4_3(b *testing.B)  { benchExp(b, "fig4.3") }
-func BenchmarkFig4_4(b *testing.B)  { benchExp(b, "fig4.4") }
-func BenchmarkFig4_5(b *testing.B)  { benchExp(b, "fig4.5") }
-func BenchmarkFig4_6(b *testing.B)  { benchExp(b, "fig4.6") }
-func BenchmarkFig4_7(b *testing.B)  { benchExp(b, "fig4.7") }
-func BenchmarkFig4_8(b *testing.B)  { benchExp(b, "fig4.8") }
-func BenchmarkFig4_9(b *testing.B)  { benchExp(b, "fig4.9") }
-func BenchmarkFig4_10(b *testing.B) { benchExp(b, "fig4.10") }
-
-func BenchmarkFig5_1(b *testing.B)  { benchExp(b, "fig5.1") }
-func BenchmarkFig5_2(b *testing.B)  { benchExp(b, "fig5.2") }
-func BenchmarkFig5_4(b *testing.B)  { benchExp(b, "fig5.4") }
-func BenchmarkFig5_5(b *testing.B)  { benchExp(b, "fig5.5") }
-func BenchmarkFig5_6(b *testing.B)  { benchExp(b, "fig5.6") }
-func BenchmarkFig5_7(b *testing.B)  { benchExp(b, "fig5.7") }
-func BenchmarkFig5_8(b *testing.B)  { benchExp(b, "fig5.8") }
-func BenchmarkFig5_9(b *testing.B)  { benchExp(b, "fig5.9") }
-func BenchmarkFig5_10(b *testing.B) { benchExp(b, "fig5.10") }
-func BenchmarkFig5_11(b *testing.B) { benchExp(b, "fig5.11") }
-
-func BenchmarkFig6_3(b *testing.B) { benchExp(b, "fig6.3") }
-func BenchmarkFig6_4(b *testing.B) { benchExp(b, "fig6.4") }
-func BenchmarkFig6_5(b *testing.B) { benchExp(b, "fig6.5") }
-func BenchmarkFig6_6(b *testing.B) { benchExp(b, "fig6.6") }
-func BenchmarkFig6_7(b *testing.B) { benchExp(b, "fig6.7") }
-func BenchmarkTab6_1(b *testing.B) { benchExp(b, "tab6.1") }
-
-func BenchmarkFig7_2(b *testing.B) { benchExp(b, "fig7.2") }
-func BenchmarkFig7_3(b *testing.B) { benchExp(b, "fig7.3") }
-func BenchmarkFig7_4(b *testing.B) { benchExp(b, "fig7.4") }
-func BenchmarkFig7_5(b *testing.B) { benchExp(b, "fig7.5") }
-func BenchmarkFig7_6(b *testing.B) { benchExp(b, "fig7.6") }
-func BenchmarkFig7_7(b *testing.B) { benchExp(b, "fig7.7") }

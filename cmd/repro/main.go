@@ -62,7 +62,6 @@ type jsonResult struct {
 type jsonExperiment struct {
 	ID           string `json:"id"`
 	Title        string `json:"title"`
-	Volatile     bool   `json:"volatile,omitempty"`
 	Repinned     bool   `json:"repinned,omitempty"`
 	RepinnedNote string `json:"repinned_note,omitempty"`
 	Added        bool   `json:"added,omitempty"`
@@ -115,16 +114,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case *list:
 		return runList(stdout, stderr, *jsonOut)
 	case *updateGolden, *verify:
-		exps := bench.GoldenExperiments()
+		exps := bench.All()
 		if *exp != "" {
 			// Re-pin or check a single experiment after a targeted change.
 			e, ok := bench.Get(*exp)
 			if !ok {
 				fmt.Fprintf(stderr, "unknown experiment %q; use -list\n", *exp)
-				return 1
-			}
-			if e.Volatile {
-				fmt.Fprintf(stderr, "experiment %q is volatile: it has no golden pin\n", *exp)
 				return 1
 			}
 			exps = []bench.Experiment{e}
@@ -293,7 +288,7 @@ func runList(stdout, stderr io.Writer, jsonOut bool) int {
 	if jsonOut {
 		var out []jsonExperiment
 		for _, e := range bench.All() {
-			je := jsonExperiment{ID: e.ID, Title: e.Title, Volatile: e.Volatile}
+			je := jsonExperiment{ID: e.ID, Title: e.Title}
 			if note, ok := bench.RepinNote(e.ID); ok {
 				je.Repinned, je.RepinnedNote = true, note
 			}

@@ -35,11 +35,6 @@ type Experiment struct {
 	// All registered experiments provide it; it is what the worker pool
 	// runs so output and delivery hashes come from the same simulation.
 	Traced func(w io.Writer, rec *DelivRecorder)
-	// Volatile marks an experiment whose output is legitimately not
-	// byte-stable across runs (none today: every registered experiment is
-	// deterministic for a fixed seed). Volatile experiments are excluded
-	// from the golden-output regression suite.
-	Volatile bool
 }
 
 // Hash regenerates the experiment and returns the hex SHA-256 of its full

@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"io"
-	"sort"
 	"time"
 
 	"repro/internal/lan"
@@ -489,7 +488,6 @@ func runTab3_1(w io.Writer, _ *DelivRecorder) {
 		{"M-Ring Paxos", "-", "f+3", "2f+1", "weak"},
 		{"U-Ring Paxos", "-", "5f", "2f+1", "weak"},
 	}
-	sort.SliceStable(rows, func(i, j int) bool { return false })
 	for _, r := range rows {
 		t.row(r[0], r[1], r[2], r[3], r[4])
 	}

@@ -146,15 +146,3 @@ func (l GoldenLayer) Verify(dir string, results []Result) []string {
 	}
 	return bad
 }
-
-// GoldenExperiments returns every registered experiment that participates
-// in the golden suite (all non-volatile ones), sorted by ID.
-func GoldenExperiments() []Experiment {
-	var out []Experiment
-	for _, e := range All() {
-		if !e.Volatile {
-			out = append(out, e)
-		}
-	}
-	return out
-}

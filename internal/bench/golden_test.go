@@ -37,7 +37,7 @@ func goldenPoolResults(t *testing.T) []Result {
 	if testing.Short() {
 		t.Skip("regenerates the full evaluation (minutes of simulation)")
 	}
-	goldenPoolOnce.Do(func() { goldenPoolRes = Run(GoldenExperiments(), Options{}) })
+	goldenPoolOnce.Do(func() { goldenPoolRes = Run(All(), Options{}) })
 	for _, r := range goldenPoolRes {
 		if r.Err != nil {
 			t.Errorf("%s failed: %v", r.ID, r.Err)
@@ -119,7 +119,7 @@ func TestGoldenFilesMatchRegistry(t *testing.T) {
 		}
 		onDisk[e.Name()] = true
 	}
-	for _, e := range GoldenExperiments() {
+	for _, e := range All() {
 		for _, l := range GoldenLayers {
 			name := filepath.Base(l.Path(goldenDir, e.ID))
 			h, err := l.Read(goldenDir, e.ID)

@@ -228,42 +228,6 @@ func (l *LAN) dispatch(ev sim.TypedEvent) {
 // Config returns the cluster-wide parameters.
 func (l *LAN) Config() Config { return l.cfg }
 
-// kern is the event kernel a node schedules into: the shared sequential
-// Simulator by default, or the node's own logical process once the cluster
-// is partitioned. The indirection is the whole node-side cost of PDES —
-// every scheduling call site is otherwise identical in both modes.
-type kern interface {
-	now() time.Duration
-	// xcall accounts for a scheduling call the substrate defers as a
-	// cross-partition record: the LP kernel logs it at its program position
-	// (or, outside a window, returns its exact rank); the sequential kernel
-	// never defers, so its implementation is unreachable.
-	xcall() uint64
-	atEvent(at time.Duration, ev sim.TypedEvent)
-	afterEvent(d time.Duration, ev sim.TypedEvent)
-	after(d time.Duration, fn func()) proto.Timer
-}
-
-type simKern struct{ s *sim.Simulator }
-
-func (k simKern) now() time.Duration                            { return k.s.Now() }
-func (k simKern) xcall() uint64                                 { return 0 }
-func (k simKern) atEvent(at time.Duration, ev sim.TypedEvent)   { k.s.AtEvent(at, ev) }
-func (k simKern) afterEvent(d time.Duration, ev sim.TypedEvent) { k.s.AfterEvent(d, ev) }
-func (k simKern) after(d time.Duration, fn func()) proto.Timer {
-	return timerAdapter{k.s.After(d, fn)}
-}
-
-type lpKern struct{ p *sim.LP }
-
-func (k lpKern) now() time.Duration                            { return k.p.Now() }
-func (k lpKern) xcall() uint64                                 { return k.p.NoteXCall() }
-func (k lpKern) atEvent(at time.Duration, ev sim.TypedEvent)   { k.p.AtEvent(at, ev) }
-func (k lpKern) afterEvent(d time.Duration, ev sim.TypedEvent) { k.p.AfterEvent(d, ev) }
-func (k lpKern) after(d time.Duration, fn func()) proto.Timer {
-	return lpTimerAdapter{k.p.After(d, fn)}
-}
-
 // Cross-partition record kinds.
 const (
 	xTCP uint8 = iota + 1 // reliable-channel frame awaiting in-link admission
@@ -276,7 +240,7 @@ const (
 // in-link admission and scheduling into the destination's heap — is
 // deferred as an xrec and applied at the next window barrier, at the exact
 // position the window replay assigns its scheduling call (see
-// sim.ReplayWindow), which reproduces the sequential kernel's global send
+// sim.ReplayWindow), which reproduces the sequential run's global send
 // order and in-link arithmetic.
 type xrec struct {
 	at time.Duration // arrival at dst's in-link (xTCP/xUDP) or ack firing time (xAck)
@@ -296,7 +260,7 @@ type xrec struct {
 type par struct {
 	p   *sim.Par
 	lps []*sim.LP
-	seq uint64   // shared rank counter: the sequential kernel's seq, replayed
+	seq uint64   // shared rank counter: the sequential run's seq, replayed
 	out [][]xrec // per-source-LP outboxes, in LP call order
 	off []int    // per-LP index of the first in-window record, per barrier
 }
@@ -308,7 +272,7 @@ type par struct {
 // id to its LP in [0, nLP); out-of-range (or nil lpOf) means LP 0.
 //
 // Call after every AddNode/Subscribe and before Start. Determinism matches
-// the sequential kernel — outputs are byte-identical — because the one-way
+// the sequential run — outputs are byte-identical — because the one-way
 // wire latency lower-bounds every inter-node effect, so barrier-injected
 // events always land beyond the window that sent them, ordered by their
 // send instant.
@@ -345,7 +309,7 @@ func (l *LAN) Partition(nLP int, lpOf func(proto.NodeID) int) bool {
 			lp = 0
 		}
 		n.lp = lp
-		n.k = lpKern{pr.lps[lp]}
+		n.k = pr.lps[lp]
 	}
 	l.par = pr
 	pr.p = &sim.Par{LPs: pr.lps, Horizon: l.cfg.Latency, Barrier: l.drainOutboxes}
@@ -388,7 +352,7 @@ func (l *LAN) ParStats() (windows, activeSum, eventSum uint64) {
 // barrier — so they apply first, in rank order. In-window records then apply
 // at the positions the window replay assigns them, interleaved with the
 // ranking of every LP-local scheduling call. In-link admissions therefore
-// happen in the sequential kernel's global order, reproducing its
+// happen in the sequential run's global order, reproducing its
 // reservation arithmetic, and each injected event carries its exact rank.
 func (l *LAN) drainOutboxes() {
 	pr := l.par
@@ -469,7 +433,7 @@ func (l *LAN) InstallFaults(s *fault.Schedule) {
 func (l *LAN) Faulted() bool { return l.faults != nil }
 
 // scheduleFaults schedules every fault event on its target node's own
-// kernel, so in partitioned mode each event fires on the LP that owns
+// engine, so in partitioned mode each event fires on the LP that owns
 // the state it mutates. Partition and heal events fan out to every node
 // (ascending id), each updating its own connectivity view at the same
 // instant. Call events ride the ordinary down-gated completion event,
@@ -484,25 +448,25 @@ func (l *LAN) scheduleFaults() {
 		switch ev.Kind {
 		case fault.CrashEvent:
 			if n := l.nodes[ev.Node]; n != nil {
-				n.k.atEvent(ev.At, sim.TypedEvent{Kind: evFaultCrash, A: int64(ev.Mode), P2: n})
+				n.k.AtEvent(ev.At, sim.TypedEvent{Kind: evFaultCrash, A: int64(ev.Mode), P2: n})
 			}
 		case fault.RestartEvent:
 			if n := l.nodes[ev.Node]; n != nil {
-				n.k.atEvent(ev.At, sim.TypedEvent{Kind: evFaultRestart, P2: n})
+				n.k.AtEvent(ev.At, sim.TypedEvent{Kind: evFaultRestart, P2: n})
 			}
 		case fault.PartitionEvent:
 			for _, id := range ids {
 				n := l.nodes[id]
-				n.k.atEvent(ev.At, sim.TypedEvent{Kind: evFaultPart, P1: ev.Sides, P2: n})
+				n.k.AtEvent(ev.At, sim.TypedEvent{Kind: evFaultPart, P1: ev.Sides, P2: n})
 			}
 		case fault.HealEvent:
 			for _, id := range ids {
 				n := l.nodes[id]
-				n.k.atEvent(ev.At, sim.TypedEvent{Kind: evFaultHeal, P2: n})
+				n.k.AtEvent(ev.At, sim.TypedEvent{Kind: evFaultHeal, P2: n})
 			}
 		case fault.CallEvent:
 			if n := l.nodes[ev.Node]; n != nil && ev.Fn != nil {
-				n.k.atEvent(ev.At, sim.TypedEvent{Kind: evNodeFunc, P1: ev.Fn, P2: n})
+				n.k.AtEvent(ev.At, sim.TypedEvent{Kind: evNodeFunc, P1: ev.Fn, P2: n})
 			}
 		}
 	}
@@ -533,7 +497,7 @@ func (l *LAN) AddNodeWithConfig(id proto.NodeID, h proto.Handler, nc NodeConfig)
 		lan:      l,
 		handler:  h,
 		nc:       nc,
-		k:        simKern{l.Sim},
+		k:        &l.Sim.LP,
 		coreFree: make([]time.Duration, nc.Cores),
 		conns:    make(map[proto.NodeID]*conn),
 		// Per-node RNG stream for LossRate and injected datagram faults:
@@ -649,8 +613,8 @@ type Node struct {
 	handler proto.Handler
 	nc      NodeConfig
 
-	k  kern // event kernel: the shared Simulator, or this node's LP
-	lp int  // logical-process index; 0 in sequential mode
+	k  *sim.LP // event engine: the shared Simulator's, or this node's LP once partitioned
+	lp int     // logical-process index; 0 in sequential mode
 
 	down bool
 
@@ -743,7 +707,7 @@ func (n *Node) ID() proto.NodeID { return n.id }
 
 // Now implements proto.Env. In partitioned mode this is the node's LP
 // clock, which trails the global window by less than the lookahead horizon.
-func (n *Node) Now() time.Duration { return n.k.now() }
+func (n *Node) Now() time.Duration { return n.k.Now() }
 
 // GroupSize implements proto.GroupSizer: the number of subscribers of g —
 // or 0 ("cannot count") while the installed fault schedule duplicates
@@ -833,8 +797,8 @@ func (n *Node) thaw() {
 		} else {
 			n.stats.MsgsRecv++
 			n.stats.BytesRecv += int64(f.size)
-			done := n.reserveCPU(n.k.now(), n.cpuCost(f.size))
-			n.k.atEvent(done, sim.TypedEvent{Kind: evTCPDeliver, D: int64(f.size), P1: f.m, P2: f.c})
+			done := n.reserveCPU(n.k.Now(), n.cpuCost(f.size))
+			n.k.AtEvent(done, sim.TypedEvent{Kind: evTCPDeliver, D: int64(f.size), P1: f.m, P2: f.c})
 		}
 		held[i] = heldFrame{}
 	}
@@ -965,7 +929,7 @@ func txTime(size int, bw float64) time.Duration {
 // once per group; unicast once per message. Only n's own state is touched,
 // so it is safe inside a partition window.
 func (n *Node) sendOut(size int) time.Duration {
-	now := n.k.now()
+	now := n.k.Now()
 	cpuDone := n.reserveCPU(now, n.cpuCost(size))
 	start := max(cpuDone, n.outFree)
 	n.outFree = start + txTime(size, n.bandwidth())
@@ -1026,10 +990,10 @@ func (n *Node) pump(c *conn) {
 		arrive := n.sendOut(size)
 		if pr := n.lan.par; pr != nil {
 			pr.out[n.lp] = append(pr.out[n.lp],
-				xrec{kind: xTCP, at: arrive, rank: n.k.xcall(), size: size, c: c, msg: m})
+				xrec{kind: xTCP, at: arrive, rank: n.k.NoteXCall(), size: size, c: c, msg: m})
 		} else {
 			rxEnd := admit(c.to, arrive, size)
-			n.k.atEvent(rxEnd, sim.TypedEvent{Kind: evTCPArrive, D: int64(size), P1: m, P2: c})
+			n.k.AtEvent(rxEnd, sim.TypedEvent{Kind: evTCPArrive, D: int64(size), P1: m, P2: c})
 		}
 	}
 }
@@ -1060,8 +1024,8 @@ func (c *conn) arrive(m proto.Message, size int) {
 	}
 	dst.stats.MsgsRecv++
 	dst.stats.BytesRecv += int64(size)
-	done := dst.reserveCPU(dst.k.now(), dst.cpuCost(size))
-	dst.k.atEvent(done, sim.TypedEvent{Kind: evTCPDeliver, D: int64(size), P1: m, P2: c})
+	done := dst.reserveCPU(dst.k.Now(), dst.cpuCost(size))
+	dst.k.AtEvent(done, sim.TypedEvent{Kind: evTCPDeliver, D: int64(size), P1: m, P2: c})
 }
 
 // deliver runs when the receiver's CPU finishes processing the message: it
@@ -1091,12 +1055,12 @@ func (c *conn) deliver(m proto.Message, size int) {
 // it always lands beyond the window).
 func (c *conn) sendAck(size int) {
 	dst := c.to
-	ack := dst.k.now() + dst.lan.cfg.Latency
+	ack := dst.k.Now() + dst.lan.cfg.Latency
 	if pr := dst.lan.par; pr != nil && c.from.lp != dst.lp {
 		pr.out[dst.lp] = append(pr.out[dst.lp],
-			xrec{kind: xAck, at: ack, rank: dst.k.xcall(), size: size, c: c})
+			xrec{kind: xAck, at: ack, rank: dst.k.NoteXCall(), size: size, c: c})
 	} else {
-		dst.k.atEvent(ack, sim.TypedEvent{Kind: evTCPAck, D: int64(size), P2: c})
+		dst.k.AtEvent(ack, sim.TypedEvent{Kind: evTCPAck, D: int64(size), P2: c})
 	}
 }
 
@@ -1151,10 +1115,10 @@ func (n *Node) SendUDP(to proto.NodeID, m proto.Message) {
 	for i := 0; i < sends; i++ {
 		if pr := n.lan.par; pr != nil {
 			pr.out[n.lp] = append(pr.out[n.lp],
-				xrec{kind: xUDP, at: arrive, rank: n.k.xcall(), size: size, src: n.id, dst: dst, msg: m})
+				xrec{kind: xUDP, at: arrive, rank: n.k.NoteXCall(), size: size, src: n.id, dst: dst, msg: m})
 		} else {
 			rxEnd := admit(dst, arrive, size)
-			n.k.atEvent(rxEnd, sim.TypedEvent{Kind: evUDPArrive, A: int64(n.id), D: int64(size), P1: m, P2: dst})
+			n.k.AtEvent(rxEnd, sim.TypedEvent{Kind: evUDPArrive, A: int64(n.id), D: int64(size), P1: m, P2: dst})
 		}
 	}
 }
@@ -1212,10 +1176,10 @@ func (n *Node) Multicast(g proto.GroupID, m proto.Message) {
 				// sorted member order, so the replay admits them consecutively,
 				// the same in-link reservation order as the sequential loop.
 				pr.out[n.lp] = append(pr.out[n.lp],
-					xrec{kind: xUDP, at: at, rank: n.k.xcall(), size: size, src: n.id, dst: dst, msg: m})
+					xrec{kind: xUDP, at: at, rank: n.k.NoteXCall(), size: size, src: n.id, dst: dst, msg: m})
 			} else {
 				rxEnd := admit(dst, at, size)
-				n.k.atEvent(rxEnd, sim.TypedEvent{Kind: evUDPArrive, A: int64(n.id), D: int64(size), P1: m, P2: dst})
+				n.k.AtEvent(rxEnd, sim.TypedEvent{Kind: evUDPArrive, A: int64(n.id), D: int64(size), P1: m, P2: dst})
 			}
 		}
 	}
@@ -1250,15 +1214,15 @@ func (n *Node) datagramArrive(from proto.NodeID, m proto.Message, size int) {
 	if n.udpQueued > n.udpQueuedMax {
 		n.udpQueuedMax = n.udpQueued
 	}
-	done := n.reserveCPU(n.k.now(), n.cpuCost(size))
-	n.k.atEvent(done, sim.TypedEvent{Kind: evUDPDeliver, A: int64(from), D: int64(size), P1: m, P2: n})
+	done := n.reserveCPU(n.k.Now(), n.cpuCost(size))
+	n.k.AtEvent(done, sim.TypedEvent{Kind: evUDPDeliver, A: int64(from), D: int64(size), P1: m, P2: n})
 }
 
 // deliverLocal hands a self-addressed message to the handler, paying CPU
 // but no network resources (loopback).
 func (n *Node) deliverLocal(m proto.Message) {
-	done := n.reserveCPU(n.k.now(), n.cpuCost(m.Size()))
-	n.k.atEvent(done, sim.TypedEvent{Kind: evNodeDeliver, A: int64(n.id), P1: m, P2: n})
+	done := n.reserveCPU(n.k.Now(), n.cpuCost(m.Size()))
+	n.k.AtEvent(done, sim.TypedEvent{Kind: evNodeDeliver, A: int64(n.id), P1: m, P2: n})
 }
 
 // After implements proto.Env. Timer callbacks keep firing while the node is
@@ -1266,28 +1230,20 @@ func (n *Node) deliverLocal(m proto.Message) {
 // (Send/Multicast/receive are all gated on down), so periodic protocol
 // timers resume their work transparently at recovery.
 func (n *Node) After(d time.Duration, fn func()) proto.Timer {
-	return n.k.after(d, fn)
+	return n.k.After(d, fn)
 }
-
-type timerAdapter struct{ t sim.Timer }
-
-func (a timerAdapter) Cancel() { a.t.Cancel() }
-
-type lpTimerAdapter struct{ t sim.LPTimer }
-
-func (a lpTimerAdapter) Cancel() { a.t.Cancel() }
 
 // AfterFree implements proto.FreeTimerEnv: the callback is carried in a
 // typed kernel event, so scheduling performs no allocation (no closure, no
 // Timer box). Like After, the timer fires even while the node is down.
 func (n *Node) AfterFree(d time.Duration, fn func()) {
-	n.k.afterEvent(d, sim.TypedEvent{Kind: evNodeTimer, P1: fn})
+	n.k.AfterEvent(d, sim.TypedEvent{Kind: evNodeTimer, P1: fn})
 }
 
 // AfterFreeArg implements proto.FreeTimerEnv; arg rides in the event's
 // scalar field, so per-instance timers need no capturing closure.
 func (n *Node) AfterFreeArg(d time.Duration, fn func(int64), arg int64) {
-	n.k.afterEvent(d, sim.TypedEvent{Kind: evNodeTimerArg, P1: fn, A: arg})
+	n.k.AfterEvent(d, sim.TypedEvent{Kind: evNodeTimerArg, P1: fn, A: arg})
 }
 
 // Work implements proto.Env: occupy core 0 for d, then run fn.
@@ -1299,16 +1255,16 @@ func (n *Node) Work(d time.Duration, fn func()) {
 // own a core.
 func (n *Node) WorkOn(core int, d time.Duration, fn func()) {
 	d = time.Duration(float64(d) / n.nc.CPUScale)
-	done := n.reserveCore(core, n.k.now(), d)
-	n.k.atEvent(done, sim.TypedEvent{Kind: evNodeFunc, P1: fn, P2: n})
+	done := n.reserveCore(core, n.k.Now(), d)
+	n.k.AtEvent(done, sim.TypedEvent{Kind: evNodeFunc, P1: fn, P2: n})
 }
 
 // WorkArg implements proto.FreeWorkEnv: Work on core 0 with a scalar
 // argument carried in the typed event — no per-call closure.
 func (n *Node) WorkArg(d time.Duration, fn func(int64), arg int64) {
 	d = time.Duration(float64(d) / n.nc.CPUScale)
-	done := n.reserveCore(0, n.k.now(), d)
-	n.k.atEvent(done, sim.TypedEvent{Kind: evNodeFuncArg, P1: fn, P2: n, A: arg})
+	done := n.reserveCore(0, n.k.Now(), d)
+	n.k.AtEvent(done, sim.TypedEvent{Kind: evNodeFuncArg, P1: fn, P2: n, A: arg})
 }
 
 // DiskWrite implements proto.Env: synchronous sequential write of size
@@ -1316,9 +1272,9 @@ func (n *Node) WorkArg(d time.Duration, fn func(int64), arg int64) {
 func (n *Node) DiskWrite(size int, fn func()) {
 	cfg := n.lan.cfg
 	d := cfg.DiskLatency + txTime(size, cfg.DiskBandwidth)
-	start := max(n.k.now(), n.diskFree)
+	start := max(n.k.Now(), n.diskFree)
 	n.diskFree = start + d
 	n.stats.DiskBytes += int64(size)
 	n.stats.DiskWrites++
-	n.k.atEvent(n.diskFree, sim.TypedEvent{Kind: evNodeFunc, P1: fn, P2: n})
+	n.k.AtEvent(n.diskFree, sim.TypedEvent{Kind: evNodeFunc, P1: fn, P2: n})
 }

@@ -69,7 +69,7 @@ func pdesTrace(nLP int) map[proto.NodeID][]string {
 	}
 	l.Start()
 	// Two Run calls: traffic queued across the deadline must stay queued,
-	// exactly like the sequential kernel.
+	// exactly like the sequential run.
 	l.Run(2 * time.Millisecond)
 	l.Run(3 * time.Millisecond)
 	out := make(map[proto.NodeID][]string, len(got))

@@ -36,7 +36,7 @@ func buildChain(tr *trace, now func() time.Duration, after func(time.Duration, E
 // TestParSingleLPMatchesSimulator drives the same workload through the
 // sequential Simulator and through a one-LP Par and requires byte-identical
 // execution traces: the degenerate partitioning must be exactly the
-// sequential kernel.
+// sequential run.
 func TestParSingleLPMatchesSimulator(t *testing.T) {
 	seq := &trace{}
 	s := New(1)
@@ -104,7 +104,7 @@ func TestParZeroHorizonPanics(t *testing.T) {
 
 // TestInjectRankOrder pins the injection contract: same-instant events
 // execute in rank order regardless of insertion order, because the rank is
-// the sequential kernel's seq.
+// the sequential run's seq.
 func TestInjectRankOrder(t *testing.T) {
 	lp := NewLP()
 	lp.SetDispatcher(func(ev TypedEvent) { ev.P1.(func())() })

@@ -6,22 +6,14 @@
 // benchmarks in this repository execute on top of this kernel so that the
 // reproduced figures are stable across machines and runs.
 //
-// # Hot-path design
-//
-// The kernel is allocation-free in steady state. Scheduled events live in a
-// value-typed slab indexed by a free-list; the priority queue is a binary
-// min-heap of 16-byte (time, seq|slab-index) entries popped with the
-// bottom-up hole technique, which benchmarked ahead of both the pointer
-// heap it replaced (2.2x) and a 4-ary layout on this workload. Cancelling a
-// timer marks its slab slot dead in O(1); dead entries are dropped when
-// they reach the top of the heap, and a lazy compaction pass sweeps them
-// out whenever they outnumber live events, so cancelled timers cost
-// amortized O(1) and never accumulate.
+// There is one event engine, LP (lp.go, which also documents its hot-path
+// design): the Simulator is one LP running sequentially, and a partitioned
+// run is several LPs under a Par.
 //
 // Events come in two flavors: closures (Event) for protocol code, and
 // TypedEvents for substrates like internal/lan that schedule millions of
 // homogeneous events and cannot afford one closure allocation per message.
-// Both flavors share the same (time, seq) total order, so mixing them cannot
+// Both flavors share the same (time, rank) total order, so mixing them cannot
 // perturb determinism.
 package sim
 
@@ -33,7 +25,7 @@ import (
 // Event is a callback executed at a virtual instant.
 type Event func()
 
-// TypedEvent is a pre-boxed event payload dispatched through the Simulator's
+// TypedEvent is a pre-boxed event payload dispatched through the engine's
 // Dispatcher instead of a closure. Substrates define their own Kind values
 // and pack whatever the handler needs into the scalar and interface fields;
 // scheduling one performs no allocation because the payload is copied into
@@ -52,305 +44,29 @@ type TypedEvent struct {
 // scheduling any TypedEvent.
 type Dispatcher func(TypedEvent)
 
-// slot is one slab cell: the payload of a scheduled event plus bookkeeping.
-// Ordering keys (time, seq) live in the heap entries, not here, so heap
-// operations never touch the slab.
-type slot struct {
-	fn  Event
-	ev  TypedEvent
-	gen uint64 // bumped on free; timers carry the gen they were issued with
-	//         (64-bit so it cannot wrap and re-validate a stale Timer)
-	dead bool  // cancelled but not yet swept out of the heap
-	next int32 // free-list link, -1 terminated
-}
-
-// entry is one heap element, ordered by (at, seq). It is exactly 16 bytes —
-// seq and the slab index share one word — so four entries fit per cache
-// line and sift operations move small values instead of chasing pointers.
-// seq lives in the high 40 bits, so comparing sx values compares seq: the
-// index bits below never matter because seq is unique.
-type entry struct {
-	at time.Duration
-	sx uint64 // seq<<idxBits | slab index
-}
-
-const (
-	// idxBits caps concurrently scheduled events at 16M and the per-Simulator
-	// event count at 2^40 (~1 trillion); schedule panics past either, rather
-	// than silently corrupting the event order.
-	idxBits = 24
-	maxSlot = 1<<idxBits - 1
-	maxSeq  = 1<<(64-idxBits) - 1
-)
-
-func (e entry) idx() int32 { return int32(e.sx & maxSlot) }
-
-// Timer identifies a scheduled event so it can be cancelled. The zero Timer
-// is valid and cancels nothing.
-type Timer struct {
-	s   *Simulator
-	idx int32
-	gen uint64
-}
-
-// Cancel prevents the timer's event from firing. Cancelling an already-fired
-// or already-cancelled timer is a no-op: the slab slot's generation counter
-// is bumped on every reuse, so a stale Timer can never cancel an unrelated
-// event that happens to occupy the same slot.
-func (t Timer) Cancel() {
-	s := t.s
-	if s == nil || int(t.idx) >= len(s.slab) {
-		return
-	}
-	sl := &s.slab[t.idx]
-	if sl.gen != t.gen || sl.dead {
-		return
-	}
-	sl.dead = true
-	sl.fn = nil
-	sl.ev = TypedEvent{} // release references now, not at sweep time
-	s.nDead++
-	// Lazy compaction: once dead entries outnumber live ones (and are worth
-	// the sweep), rebuild the heap without them. Each swept entry was paid
-	// for by its own Cancel, so the cost is amortized O(1).
-	if s.nDead > 64 && s.nDead*2 > len(s.heap) {
-		s.compact()
-	}
-}
-
-// Simulator is a discrete-event scheduler with a virtual clock.
+// Simulator is the sequential kernel: an LP that never opens a window — every
+// scheduling call takes its rank straight from the counter, which is the
+// (time, seq) order — plus the run's random source. Scheduling (At, After,
+// AtEvent, AfterEvent), Now, Steps and Pending are the embedded engine's.
 // The zero value is not usable; construct with New.
 type Simulator struct {
-	now      time.Duration
-	heap     []entry
-	slab     []slot
-	freeHead int32 // head of the slab free-list, -1 when empty
-	nDead    int   // cancelled events still occupying heap entries
-	seq      uint64
-	rng      *rand.Rand
-	nSteps   uint64
-	dispatch Dispatcher
+	LP
+	rng *rand.Rand
 }
 
 // New returns a Simulator whose random source is seeded with seed.
 func New(seed int64) *Simulator {
-	return &Simulator{rng: rand.New(rand.NewSource(seed)), freeHead: -1}
+	s := &Simulator{rng: rand.New(rand.NewSource(seed))}
+	s.LP.init()
+	return s
 }
-
-// SetDispatcher installs the typed-event dispatcher. Call once, before
-// scheduling TypedEvents; closure events do not need one.
-func (s *Simulator) SetDispatcher(d Dispatcher) { s.dispatch = d }
-
-// Now returns the current virtual time (elapsed since simulation start).
-func (s *Simulator) Now() time.Duration { return s.now }
 
 // Rand returns the simulation's deterministic random source.
 func (s *Simulator) Rand() *rand.Rand { return s.rng }
 
-// Steps reports how many events have been executed so far.
-func (s *Simulator) Steps() uint64 { return s.nSteps }
-
-// allocSlot takes a slab cell from the free-list, growing the slab only when
-// the list is empty (i.e. only while the live-event population is at a new
-// high-water mark).
-func (s *Simulator) allocSlot() int32 {
-	if s.freeHead >= 0 {
-		idx := s.freeHead
-		s.freeHead = s.slab[idx].next
-		return idx
-	}
-	if len(s.slab) > maxSlot {
-		panic("sim: more than 2^24 concurrently scheduled events")
-	}
-	s.slab = append(s.slab, slot{})
-	return int32(len(s.slab) - 1)
-}
-
-// freeSlot returns a cell to the free-list and invalidates outstanding
-// Timers for it by bumping the generation. The caller has already cleared
-// the payload (fn/ev), either on cancel or on fire.
-func (s *Simulator) freeSlot(idx int32) {
-	sl := &s.slab[idx]
-	sl.gen++
-	sl.dead = false
-	sl.next = s.freeHead
-	s.freeHead = idx
-}
-
-// schedule inserts a filled slot into the heap and returns its Timer.
-func (s *Simulator) schedule(at time.Duration, idx int32) Timer {
-	if at < s.now {
-		at = s.now
-	}
-	s.seq++
-	if s.seq > maxSeq {
-		panic("sim: more than 2^40 events scheduled in one Simulator")
-	}
-	s.push(entry{at: at, sx: s.seq<<idxBits | uint64(idx)})
-	return Timer{s: s, idx: idx, gen: s.slab[idx].gen}
-}
-
-// At schedules fn to run at absolute virtual time at. Times in the past are
-// clamped to the current instant.
-func (s *Simulator) At(at time.Duration, fn Event) Timer {
-	idx := s.allocSlot()
-	s.slab[idx].fn = fn
-	return s.schedule(at, idx)
-}
-
-// After schedules fn to run d from now. Negative delays run "now".
-func (s *Simulator) After(d time.Duration, fn Event) Timer {
-	return s.At(s.now+d, fn)
-}
-
-// AtEvent schedules a typed event at absolute virtual time at. It shares the
-// (time, seq) order with At, and allocates nothing once the slab is warm.
-func (s *Simulator) AtEvent(at time.Duration, ev TypedEvent) Timer {
-	idx := s.allocSlot()
-	s.slab[idx].ev = ev
-	return s.schedule(at, idx)
-}
-
-// AfterEvent schedules a typed event d from now.
-func (s *Simulator) AfterEvent(d time.Duration, ev TypedEvent) Timer {
-	return s.AtEvent(s.now+d, ev)
-}
-
-// less orders entries by (time, seq): earlier instants first, scheduling
-// order within an instant. seq is unique, so the order is total.
-func less(a, b entry) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.sx < b.sx
-}
-
-// push appends e and restores the heap invariant.
-func (s *Simulator) push(e entry) {
-	h := append(s.heap, e)
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) >> 1
-		if !less(e, h[p]) {
-			break
-		}
-		h[i] = h[p]
-		i = p
-	}
-	h[i] = e
-	s.heap = h
-}
-
-// popRoot removes the minimum entry and restores the heap invariant using
-// the bottom-up technique: pull the min-child path up into the root hole
-// without comparing against the displaced last leaf (it almost always
-// belongs back at the bottom anyway), then sift the leaf up the same path.
-// This saves one comparison per level on the common path.
-func (s *Simulator) popRoot() {
-	h := s.heap
-	n := len(h) - 1
-	last := h[n]
-	h = h[:n]
-	s.heap = h
-	if n == 0 {
-		return
-	}
-	i := 0
-	for {
-		c := i<<1 + 1
-		if c >= n {
-			break
-		}
-		if c+1 < n && less(h[c+1], h[c]) {
-			c++
-		}
-		h[i] = h[c]
-		i = c
-	}
-	for i > 0 {
-		p := (i - 1) >> 1
-		if !less(last, h[p]) {
-			break
-		}
-		h[i] = h[p]
-		i = p
-	}
-	h[i] = last
-}
-
-// siftDown moves h[i] toward the leaves until the heap invariant holds.
-func (s *Simulator) siftDown(i int) {
-	h := s.heap
-	n := len(h)
-	e := h[i]
-	for {
-		c := i<<1 + 1
-		if c >= n {
-			break
-		}
-		if c+1 < n && less(h[c+1], h[c]) {
-			c++
-		}
-		if !less(h[c], e) {
-			break
-		}
-		h[i] = h[c]
-		i = c
-	}
-	h[i] = e
-}
-
-// compact rebuilds the heap without dead entries, freeing their slots. The
-// heap property only depends on the (at, seq) keys, which are untouched, so
-// re-heapifying the filtered array preserves the exact pop order.
-func (s *Simulator) compact() {
-	live := s.heap[:0]
-	for _, e := range s.heap {
-		if s.slab[e.idx()].dead {
-			s.freeSlot(e.idx())
-		} else {
-			live = append(live, e)
-		}
-	}
-	s.heap = live
-	s.nDead = 0
-	for i := (len(live) - 2) >> 1; i >= 0; i-- {
-		s.siftDown(i)
-	}
-}
-
 // Step executes the next pending event, advancing the clock to its instant.
 // It reports whether an event was executed.
-func (s *Simulator) Step() bool {
-	for len(s.heap) > 0 {
-		e := s.heap[0]
-		s.popRoot()
-		sl := &s.slab[e.idx()]
-		if sl.dead {
-			s.nDead--
-			s.freeSlot(e.idx())
-			continue
-		}
-		// Free before running: the callback may schedule new events into
-		// this very slot, and the generation bump makes cancel-after-fire on
-		// the old Timer a guaranteed no-op. A slot holds either fn or ev,
-		// never both, so only the populated payload needs clearing.
-		s.now = e.at
-		s.nSteps++
-		if fn := sl.fn; fn != nil {
-			sl.fn = nil
-			s.freeSlot(e.idx())
-			fn()
-		} else {
-			ev := sl.ev
-			sl.ev = TypedEvent{}
-			s.freeSlot(e.idx())
-			s.dispatch(ev)
-		}
-		return true
-	}
-	return false
-}
+func (s *Simulator) Step() bool { return s.step(maxTime) }
 
 // Run executes events until the queue drains.
 func (s *Simulator) Run() {
@@ -361,26 +77,7 @@ func (s *Simulator) Run() {
 // RunUntil executes events with timestamps <= deadline and then advances the
 // clock to deadline. Events scheduled later remain queued.
 func (s *Simulator) RunUntil(deadline time.Duration) {
-	for len(s.heap) > 0 {
-		// Peek at the earliest entry; discard dead ones without touching
-		// the clock.
-		e := s.heap[0]
-		if s.slab[e.idx()].dead {
-			s.popRoot()
-			s.nDead--
-			s.freeSlot(e.idx())
-			continue
-		}
-		if e.at > deadline {
-			break
-		}
-		s.Step()
+	for s.step(deadline) {
 	}
-	if s.now < deadline {
-		s.now = deadline
-	}
+	s.AdvanceTo(deadline)
 }
-
-// Pending reports the number of scheduled events that have neither fired nor
-// been cancelled.
-func (s *Simulator) Pending() int { return len(s.heap) - s.nDead }
