@@ -5,63 +5,48 @@ import (
 	"time"
 )
 
-// replicatedLogSpan drives a 3-node realtime ReplicatedLog under
-// sustained appends for roughly dur of wall time, stops the cluster, and
-// returns the total live per-instance log span across all agents plus
-// the probe node's delivery count. The cluster is stopped before any
-// agent state is read, so the read races nothing.
-func replicatedLogSpan(t *testing.T, gc time.Duration, dur time.Duration) (span int, delivered int) {
-	t.Helper()
+// TestRealtimeLogGCBoundsVoteLogSpan covers the realtime garbage
+// collection end to end: a default ReplicatedLog under sustained appends
+// keeps its live vote-log span bounded. Without GC every agent retains at
+// least one record per instance, so the span summed over the three agents
+// would be at least three times the instances committed; the assertion
+// allows a third of one agent's worth. Wall-clock timing is noisy, so the
+// bound is relative to the run, not an absolute count. U-Ring's GC on/off
+// equivalence is covered deterministically in internal/ringpaxos.
+func TestRealtimeLogGCBoundsVoteLogSpan(t *testing.T) {
+	if testing.Short() {
+		t.Skip("drives ~1s of wall-clock cluster time; timing-sensitive under -short CI contention")
+	}
 	c := NewCluster(7)
-	var probe int
+	// Written by node 1's loop only; read after Stop.
+	var instances int64
 	log := NewReplicatedLog(c, LogConfig{
-		Nodes:      []NodeID{1, 2, 3},
-		BatchDelay: time.Millisecond,
-		GCInterval: gc,
-		Deliver: func(node NodeID, _ int64, _ Value) {
-			if node == 1 {
-				probe++
+		Nodes: []NodeID{1, 2, 3},
+		Deliver: func(node NodeID, inst int64, _ Value) {
+			if node == 1 && inst >= instances {
+				instances = inst + 1
 			}
 		},
 	})
 	c.Start()
-	deadline := time.Now().Add(dur)
+	deadline := time.Now().Add(700 * time.Millisecond)
 	for i := 0; time.Now().Before(deadline); i++ {
 		log.Propose(NodeID(i%3+1), Value{ID: ValueID(i + 1), Bytes: 64})
 		time.Sleep(time.Millisecond)
 	}
-	// Let in-flight instances decide and (when enabled) a final few GC
-	// rounds trim behind them before the snapshot.
+	// Let in-flight instances decide and a final few GC rounds trim
+	// behind them before the snapshot.
 	time.Sleep(200 * time.Millisecond)
 	c.Stop()
+	span := 0
 	for _, id := range []NodeID{1, 2, 3} {
 		span += log.Agent(id).LiveLogLen()
 	}
-	return span, probe
-}
-
-// TestRealtimeLogGCBoundsVoteLogSpan covers the realtime GCInterval
-// plumbing end to end: with the zero-value (default) LogConfig the
-// shared learner-version GC is on and the live vote-log span stays
-// bounded under sustained appends; GCInterval -1 reproduces the old
-// pre-plumbing behavior, retaining one record per instance forever.
-// Wall-clock timing is inherently noisy, so the assertions compare the
-// two runs against each other with generous margins rather than pinning
-// absolute counts.
-func TestRealtimeLogGCBoundsVoteLogSpan(t *testing.T) {
-	if testing.Short() {
-		t.Skip("drives ~1.5s of wall-clock cluster time; timing-sensitive under -short CI contention")
+	t.Logf("live span %d records across 3 agents after %d instances", span, instances)
+	if instances < 60 {
+		t.Fatalf("only %d instances committed: not enough to judge boundedness", instances)
 	}
-	const dur = 700 * time.Millisecond
-	bounded, deliveredOn := replicatedLogSpan(t, 0, dur)
-	leaky, deliveredOff := replicatedLogSpan(t, -1, dur)
-	if deliveredOn == 0 || deliveredOff == 0 {
-		t.Fatalf("no deliveries (on=%d off=%d): the log never made progress", deliveredOn, deliveredOff)
-	}
-	if leaky < 60 {
-		t.Fatalf("control run retained only %d records: not enough instances to judge boundedness", leaky)
-	}
-	if bounded > leaky/3 {
-		t.Fatalf("default config retains %d live log records vs %d without GC: vote logs are not bounded", bounded, leaky)
+	if int64(span) > instances/3 {
+		t.Fatalf("agents retain %d live log records after %d instances: vote logs are not bounded", span, instances)
 	}
 }

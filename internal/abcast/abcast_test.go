@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/lan"
 	"repro/internal/paxos"
 	"repro/internal/proto"
@@ -186,9 +187,7 @@ func TestTokenRingSafeDeliveryLatency(t *testing.T) {
 }
 
 func TestTokenRingSurvivesMulticastLoss(t *testing.T) {
-	lc := lan.DefaultConfig()
-	lc.LossRate = 0.05
-	r := &tokenRig{l: lan.New(lc, 3), deliv: make(map[proto.NodeID][]core.ValueID)}
+	r := &tokenRig{l: lan.New(lan.DefaultConfig(), 3), deliv: make(map[proto.NodeID][]core.ValueID)}
 	for i := 0; i < 3; i++ {
 		r.ids = append(r.ids, proto.NodeID(i))
 	}
@@ -200,6 +199,7 @@ func TestTokenRingSurvivesMulticastLoss(t *testing.T) {
 		r.l.AddNode(id, a)
 		r.l.Subscribe(1, id)
 	}
+	r.l.InstallFaults(fault.New(3).WithNet(fault.Net{DropRate: 0.05}))
 	r.l.Start()
 	for i := 0; i < 50; i++ {
 		r.nodes[i%3].Broadcast(core.Value{ID: core.ValueID(i + 1), Bytes: 512})

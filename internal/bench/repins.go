@@ -12,30 +12,19 @@ package bench
 // Entries describe the most recent deliberate re-pin only; a future
 // re-pin replaces the map wholesale (git history keeps the past).
 //
-// The current re-pin covers the five U-Ring families, and only them: the
-// U-Ring coordinator became self-clocked (ringpaxos.UAgent.enqueue). A
-// value that finds the ready coordinator idle — nothing staged, no
-// instance open — leaves at once in its own instance with no flush timer;
-// values arriving behind an open instance still batch and leave with the
-// window release. Instance boundaries therefore move: the coordinator
-// cuts more, smaller instances, so the four families that pin delivery
-// (fault.uring, fault.failover.uring, fault.recovery.uring, soak.uring)
-// moved their delivery pins with the output, and fault.client.uring moved
-// its output only. Checked by diffing every learner's value-id sequence of
-// every seed against the parent: value ORDER is unchanged everywhere; a
-// run differs only in how far it got (the new one delivers a few values
-// more by the end of the window) and, across a permanent coordinator
-// kill, in which tail values died with the coordinator (1-3 values the
-// parent still held in staging had already left). Safety pins, every
-// fig*/tab* pin and all ci/budgets.json ceilings held.
-const repinURingSelfClocked = "U-Ring coordinator is self-clocked: a value arriving at an idle coordinator (nothing staged, no open instance) is proposed at once instead of waiting out BatchDelay, so instances are cut at different points; per-learner value order is unchanged"
-
+// The current re-pin covers fig5.11's output, and only it: lan has one
+// crash model. A node taken down with SetDown freezes whether or not a
+// fault schedule is installed, so TCP frames sent to ring 1's frozen
+// coordinator are held in its socket buffer and delivered when it
+// recovers, where the old schedule-less model dropped them and leaked
+// their window credit. fig5.11 is the only experiment that crashes a node
+// without a schedule. Its table moves only after the recovery at 2 s:
+// "received ring1" bursts to 694 Mbps where it stayed flat at 250, and
+// "delivered" reads 935/685/520 where it read 993/500/500. Its delivery
+// pin, every other output, delivery and safety pin, and all
+// ci/budgets.json ceilings held.
 var outputRepins = map[string]string{
-	"fault.uring":          repinURingSelfClocked,
-	"fault.failover.uring": repinURingSelfClocked,
-	"fault.recovery.uring": repinURingSelfClocked,
-	"fault.client.uring":   repinURingSelfClocked,
-	"soak.uring":           repinURingSelfClocked,
+	"fig5.11": "a down node freezes instead of leaking window credit; frames held during the outage are delivered at recovery",
 }
 
 // RepinNote returns the provenance note for an experiment whose output

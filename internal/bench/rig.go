@@ -289,8 +289,8 @@ func (d deploySpec) build() *rig {
 	}
 }
 
-// lost sums the loss counters (schedule drops, partition cuts,
-// dead-process losses, LossRate draws) across every node.
+// lost sums the loss counters (fault.Net drops, partition cuts,
+// down-node losses) across every node.
 func (r *rig) lost() int64 {
 	var n int64
 	for _, id := range r.ids {

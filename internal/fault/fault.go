@@ -7,14 +7,12 @@
 // own kernel, so the same schedule replays byte-identically in
 // sequential and PDES (-par N) runs.
 //
-// Installing a schedule — even an empty one — also switches the LAN's
-// crash semantics from the legacy model (frames to a down node silently
-// vanish and leak their TCP window credit) to the faithful one: Freeze
+// The schedule only says when faults happen; what a crash does is the
+// LAN's one crash model, the same with or without a schedule: Freeze
 // holds TCP frames at the receiver like a paused process's socket
 // buffer, Lose resets connections (credit returned, queued messages
-// dropped) like a dead process's RST. With no schedule installed the
-// LAN behaves exactly as before, so every pre-fault golden is
-// untouched.
+// dropped) like a dead process's RST. Net.DropRate is the one way to
+// lose datagrams at random.
 package fault
 
 import (
@@ -129,8 +127,7 @@ type Schedule struct {
 	events []Event
 }
 
-// New returns an empty schedule. Installing an empty schedule enables
-// the faithful crash semantics without injecting any fault.
+// New returns an empty schedule, which injects no fault.
 func New(seed int64) *Schedule { return &Schedule{Seed: seed} }
 
 // WithNet sets the datagram fault rules.

@@ -90,56 +90,49 @@ func TestLoseCrashReturnsWindowCredit(t *testing.T) {
 
 // Freeze mode: same outage, but nothing is lost — the frozen process's
 // socket buffer holds frames (window backpressure stalls the sender) and
-// delivers them in order at thaw.
+// delivers them in order at thaw. A freeze is a freeze however it is
+// caused: by SetDown with or without a schedule installed, or by a
+// scheduled fault.Freeze crash.
 func TestFreezeHoldsFramesAndDeliversInOrder(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.TCPBuf = 64 << 10
-	l := New(cfg, 1)
-	r := &tagSink{}
-	// Slow receiver CPU so the freeze catches frames both before and after
-	// their receive-CPU booking (both heldFrame stages).
-	l.AddNodeWithConfig(1, r, NodeConfig{CPUScale: 0.05, BandwidthScale: 1})
-	l.AddNode(0, &tcpPump{to: 1, size: 8192, interval: 100 * time.Microsecond, count: 300})
-	l.InstallFaults(fault.New(1).CrashFor(5*time.Millisecond, 10*time.Millisecond, 1, fault.Freeze))
-	l.Start()
-	l.Run(2 * time.Second)
+	const at, down = 5 * time.Millisecond, 10 * time.Millisecond
+	for _, tc := range []struct {
+		name    string
+		sched   *fault.Schedule
+		setDown bool
+	}{
+		{"SetDown without schedule", nil, true},
+		{"SetDown with empty schedule", fault.New(1), true},
+		{"scheduled Freeze", fault.New(1).CrashFor(at, down, 1, fault.Freeze), false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.TCPBuf = 64 << 10
+			l := New(cfg, 1)
+			r := &tagSink{}
+			// Slow receiver CPU so the freeze catches frames both before and
+			// after their receive-CPU booking (both heldFrame stages).
+			l.AddNodeWithConfig(1, r, NodeConfig{CPUScale: 0.05, BandwidthScale: 1})
+			l.AddNode(0, &tcpPump{to: 1, size: 8192, interval: 100 * time.Microsecond, count: 300})
+			l.InstallFaults(tc.sched)
+			l.Start()
+			if tc.setDown {
+				l.Run(at)
+				l.Node(1).SetDown(true)
+				l.Run(down)
+				l.Node(1).SetDown(false)
+			}
+			l.Run(2 * time.Second)
 
-	assertFIFO(t, r.tags, 300)
-	st := l.Node(1).Stats()
-	if st.MsgsLost != 0 || st.MsgsDropped != 0 {
-		t.Fatalf("freeze lost traffic: lost=%d dropped=%d", st.MsgsLost, st.MsgsDropped)
-	}
-	c := l.Node(0).conns[1]
-	if c.inflight != 0 || c.queued() != 0 {
-		t.Fatalf("connection did not drain after thaw: inflight=%d queued=%d", c.inflight, c.queued())
-	}
-}
-
-// The legacy model (no schedule installed) must keep its pinned behavior:
-// frames to a down peer vanish and their window credit leaks, wedging
-// the connection even after recovery.
-func TestLegacyDownStillLeaksCredit(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.TCPBuf = 64 << 10
-	l := New(cfg, 1)
-	r := &tagSink{}
-	l.AddNode(1, r)
-	l.AddNode(0, &tcpPump{to: 1, size: 8192, interval: 100 * time.Microsecond, count: 300})
-	down := l.AddNode(2, &proto.HandlerFunc{})
-	_ = down
-	l.Start()
-	l.Run(5 * time.Millisecond)
-	l.Node(1).SetDown(true)
-	l.Run(10 * time.Millisecond)
-	l.Node(1).SetDown(false)
-	l.Run(200 * time.Millisecond)
-
-	c := l.Node(0).conns[1]
-	if c.inflight == 0 {
-		t.Fatal("legacy down-path returned window credit; pinned goldens depend on the leak")
-	}
-	if l.Node(1).Stats().MsgsLost != 0 {
-		t.Fatal("legacy path counted MsgsLost; loss accounting must be fault-mode only")
+			assertFIFO(t, r.tags, 300)
+			st := l.Node(1).Stats()
+			if st.MsgsLost != 0 || st.MsgsDropped != 0 {
+				t.Fatalf("freeze lost traffic: lost=%d dropped=%d", st.MsgsLost, st.MsgsDropped)
+			}
+			c := l.Node(0).conns[1]
+			if c.inflight != 0 || c.queued() != 0 {
+				t.Fatalf("connection did not drain after thaw: inflight=%d queued=%d", c.inflight, c.queued())
+			}
+		})
 	}
 }
 
@@ -153,7 +146,6 @@ func TestRecoveryRepumpsQueuedConns(t *testing.T) {
 	r := &tagSink{}
 	l.AddNode(1, r)
 	sender := l.AddNode(0, &proto.HandlerFunc{})
-	l.InstallFaults(fault.New(1)) // empty schedule: faithful semantics, no injected faults
 	l.Start()
 	env := proto.Env(sender)
 	// Fill the window and queue a backlog behind it.
@@ -407,14 +399,12 @@ func TestGroupSizeUncountableUnderDuplication(t *testing.T) {
 // (identical delivery sequences and counters).
 func TestFaultScheduleReplaysDeterministically(t *testing.T) {
 	run := func() ([]int64, Stats) {
-		cfg := DefaultConfig()
-		cfg.LossRate = 0.1
-		l := New(cfg, 7)
+		l := New(DefaultConfig(), 7)
 		r := &tagSink{}
 		l.AddNode(1, r)
 		l.AddNode(0, &sender{to: []proto.NodeID{1}, size: 2048, interval: 100 * time.Microsecond, stop: 50 * time.Millisecond})
 		l.InstallFaults(fault.New(7).
-			WithNet(fault.Net{DropRate: 0.05, DupRate: 0.02, DelayRate: 0.1, DelayMax: time.Millisecond}).
+			WithNet(fault.Net{DropRate: 0.15, DupRate: 0.02, DelayRate: 0.1, DelayMax: time.Millisecond}).
 			CrashFor(10*time.Millisecond, 5*time.Millisecond, 1, fault.Lose))
 		l.Start()
 		l.Run(100 * time.Millisecond)
@@ -435,13 +425,11 @@ func TestFaultScheduleReplaysDeterministically(t *testing.T) {
 	}
 }
 
-// LossRate draws come from per-node streams now, so a lossy config runs
+// Datagram drop draws come from per-node streams, so a lossy network runs
 // partitioned with results identical to its sequential run.
 func TestLossyConfigPartitionEquivalence(t *testing.T) {
-	run := func(nLP int) ([]int64, Stats) {
-		cfg := DefaultConfig()
-		cfg.LossRate = 0.2
-		l := New(cfg, 3)
+	run := func(nLP int) ([]int64, [2]Stats) {
+		l := New(DefaultConfig(), 3)
 		r := &tagSink{}
 		l.AddNode(1, r)
 		l.AddNode(0, &sender{to: []proto.NodeID{1}, size: 2048, interval: 100 * time.Microsecond, stop: 20 * time.Millisecond})
@@ -450,13 +438,14 @@ func TestLossyConfigPartitionEquivalence(t *testing.T) {
 				t.Fatalf("Partition declined lossy config at nLP=%d", nLP)
 			}
 		}
+		l.InstallFaults(fault.New(3).WithNet(fault.Net{DropRate: 0.2}))
 		l.Start()
 		l.Run(50 * time.Millisecond)
-		return append([]int64(nil), r.tags...), l.Node(1).Stats()
+		return append([]int64(nil), r.tags...), [2]Stats{l.Node(0).Stats(), l.Node(1).Stats()}
 	}
 	seqTags, seqStats := run(1)
-	if seqStats.MsgsLost == 0 {
-		t.Fatal("no loss at LossRate=0.2; test is vacuous")
+	if seqStats[0].MsgsLost == 0 {
+		t.Fatal("no loss at DropRate=0.2; test is vacuous")
 	}
 	for _, nLP := range []int{2, 4} {
 		tags, stats := run(nLP)

@@ -54,12 +54,6 @@ type Config struct {
 	DiskBandwidth float64
 	// DiskLatency is the fixed per-write latency (command overhead).
 	DiskLatency time.Duration
-	// LossRate is an additional random drop probability applied to every
-	// datagram (UDP/multicast) delivery, on top of buffer-overflow drops.
-	// Each draw comes from the receiving node's own seeded RNG stream, so
-	// lossy configurations replay byte-identically under Partition too.
-	// Used by failure-injection tests; 0 in calibrated benchmarks.
-	LossRate float64
 }
 
 // DefaultConfig returns parameters calibrated to the dissertation's testbed:
@@ -95,10 +89,10 @@ type NodeConfig struct {
 // injected losses are counted separately: MsgsDropped/BytesDropped are
 // datagrams the receive buffer overflowed on (the congestion signal the
 // throughput figures report), while MsgsLost/BytesLost are frames the
-// fault layer destroyed — LossRate draws, scheduled drops, partition
-// cuts, and traffic into dead nodes. Lost frames are counted at the
-// node that detected the loss: the sender for partition/schedule drops,
-// the receiver for LossRate and dead-process losses.
+// fault layer destroyed — fault.Net drops, partition cuts, datagrams into
+// down nodes and TCP frames into dead ones. Lost frames are counted at the
+// node that detected the loss: the sender for fault.Net and partition
+// drops, the receiver for down-node losses.
 type Stats struct {
 	MsgsSent     int64
 	BytesSent    int64
@@ -180,10 +174,8 @@ func (l *LAN) dispatch(ev sim.TypedEvent) {
 		n := ev.P2.(*Node)
 		n.udpQueued -= int(ev.D)
 		if n.down {
-			if n.lan.faults != nil {
-				n.stats.MsgsLost++
-				n.stats.BytesLost += ev.D
-			}
+			n.stats.MsgsLost++
+			n.stats.BytesLost += ev.D
 			return
 		}
 		n.handler.Receive(proto.NodeID(ev.A), ev.P1.(proto.Message))
@@ -279,10 +271,10 @@ type par struct {
 //
 // Partition reports whether partitioning engaged. It declines (and the
 // cluster runs sequentially, with identical results) when nLP < 2 or
-// when the configuration has no lookahead (Latency <= 0). Lossy and
-// faulted configurations partition fine: LossRate and the fault layer's
-// drop/dup/delay rules draw from per-node RNG streams whose consumption
-// order is identical in sequential and parallel runs.
+// when the configuration has no lookahead (Latency <= 0). Faulted
+// configurations partition fine: the fault layer's drop/dup/delay rules
+// draw from per-node RNG streams whose consumption order is identical in
+// sequential and parallel runs.
 func (l *LAN) Partition(nLP int, lpOf func(proto.NodeID) int) bool {
 	if l.par != nil {
 		panic("lan: Partition called twice")
@@ -407,17 +399,12 @@ func (l *LAN) applyXrec(r *xrec, rank uint64) {
 	}
 }
 
-// InstallFaults arms the fault layer: the schedule's events fire during
-// Run (event times are absolute simulated instants), its Net rules
-// apply to every datagram, and the LAN switches from the legacy crash
-// model to the faithful one — a frozen node holds TCP frames in its
-// socket buffer and delivers them at recovery, a dead node resets
-// connections (frames lost, window credit returned) and sheds volatile
-// handler state via proto.VolatileLoser, and recovery re-pumps stalled
-// connections. Call between the last AddNode/Subscribe/Partition and
-// Start; installing an empty schedule enables the faithful semantics
-// with no injected faults. With no schedule installed the fault layer
-// is inert and the LAN behaves exactly as it always has.
+// InstallFaults arms a fault schedule: its events fire during Run (event
+// times are absolute simulated instants) and its Net rules apply to every
+// datagram. Call between the last AddNode/Subscribe/Partition and Start.
+// The crash semantics do not depend on it: a scheduled crash and SetDown
+// behave the same with or without a schedule installed. A nil schedule
+// is a no-op.
 func (l *LAN) InstallFaults(s *fault.Schedule) {
 	if s == nil {
 		return
@@ -428,9 +415,6 @@ func (l *LAN) InstallFaults(s *fault.Schedule) {
 	l.faults = s
 	l.faultNetOn = s.Net.Enabled()
 }
-
-// Faulted reports whether a fault schedule is installed.
-func (l *LAN) Faulted() bool { return l.faults != nil }
 
 // scheduleFaults schedules every fault event on its target node's own
 // engine, so in partitioned mode each event fires on the LP that owns
@@ -500,9 +484,9 @@ func (l *LAN) AddNodeWithConfig(id proto.NodeID, h proto.Handler, nc NodeConfig)
 		k:        &l.Sim.LP,
 		coreFree: make([]time.Duration, nc.Cores),
 		conns:    make(map[proto.NodeID]*conn),
-		// Per-node RNG stream for LossRate and injected datagram faults:
-		// draws happen on the node's own LP, so lossy and faulted runs
-		// replay byte-identically under Partition.
+		// Per-node RNG stream for injected datagram faults: draws happen
+		// on the sending node's own LP, so faulted runs replay
+		// byte-identically under Partition.
 		rng: rand.New(rand.NewSource(l.seed ^ int64(uint64(id+1)*0x9E3779B97F4A7C15))),
 	}
 	l.nodes[id] = n
@@ -618,13 +602,12 @@ type Node struct {
 
 	down bool
 
-	// Fault-layer state, meaningful only once InstallFaults armed it.
 	frozen       bool                 // down as a paused process: TCP frames held, not lost
 	lostVolatile bool                 // down as a dead process: reset + VolatileLoser on restart
 	partSides    map[proto.NodeID]int // current partition view (nil = fully connected)
 	partSide     int                  // this node's side in partSides
 	held         []heldFrame          // TCP frames parked while frozen, in arrival order
-	rng          *rand.Rand           // per-node stream: LossRate + injected datagram faults
+	rng          *rand.Rand           // per-node stream: injected datagram faults
 
 	outFree  time.Duration   // instant the out-link becomes idle
 	inFree   time.Duration   // instant the in-link becomes idle
@@ -738,33 +721,23 @@ func (n *Node) BufferQueued() int { return n.udpQueued }
 
 // SetDown marks the node crashed (true) or recovered (false).
 //
-// With no fault schedule installed (the legacy model, which every
-// pre-fault golden pins) a down node sends nothing and silently
-// discards everything addressed to it — including the window credit of
-// TCP frames in flight — and recovery does not restart stalled pumps.
-//
-// With a schedule installed (InstallFaults), SetDown(true) freezes the
-// process: TCP frames addressed to it are held like a paused process's
-// socket buffer (senders stall on window backpressure, losslessly), and
-// SetDown(false) delivers the held frames in arrival order and re-pumps
-// every connection with queued messages. Crashes that destroy volatile
-// state (connection resets, proto.VolatileLoser) are expressed as
-// fault.Lose events in the schedule, not through SetDown.
+// SetDown(true) freezes the process (fault.Freeze): it sends nothing,
+// datagrams addressed to it are lost, and TCP frames addressed to it are
+// held like a paused process's socket buffer (senders stall on window
+// backpressure, losslessly). SetDown(false) delivers the held frames in
+// arrival order and re-pumps every connection with queued messages; after
+// a scheduled fault.Lose crash it instead takes the dead-process restart
+// path (connection reset, proto.VolatileLoser).
 func (n *Node) SetDown(down bool) {
 	if down {
-		n.down = true
-		if n.lan.faults != nil {
-			n.frozen = true
-		}
+		n.crash(fault.Freeze)
 		return
 	}
 	n.down = false
-	if n.lan.faults != nil {
-		if n.lostVolatile {
-			n.restartLose()
-		} else {
-			n.thaw()
-		}
+	if n.lostVolatile {
+		n.restartLose()
+	} else {
+		n.thaw()
 	}
 	n.frozen = false
 }
@@ -836,8 +809,8 @@ func (n *Node) restartLose() {
 
 // repumpAll restarts transmission on every connection with queued
 // messages, in ascending destination order — the recovery half of the
-// faithful crash model (conn.ack deliberately skips pumping while the
-// sender is down; this is what resumes the queues afterwards).
+// crash model (conn.ack deliberately skips pumping while the sender is
+// down; this is what resumes the queues afterwards).
 func (n *Node) repumpAll() {
 	for _, id := range n.sortedConnIDs() {
 		if c := n.conns[id]; c.queued() > 0 {
@@ -866,22 +839,37 @@ func (n *Node) reachable(to proto.NodeID) bool {
 	return n.partSides == nil || n.partSides[to] == n.partSide
 }
 
-// netFault draws one datagram's injected fate — drop, duplicate, extra
-// delay — from the sender's own RNG stream. The draw order is fixed
-// (drop first, short-circuiting the rest) so schedules replay
-// identically in sequential and partitioned runs.
-func (n *Node) netFault() (drop, dup bool, delay time.Duration) {
+// datagramFate decides what the network does to one datagram copy bound
+// for `to`: how many copies arrive (0 when a partition or an injected drop
+// eats it, counted lost at the sender; 2 when it is duplicated) and any
+// injected extra delay. The out-link was charged either way — the NIC
+// doesn't know the network will eat the frame. Injected faults draw from
+// the sender's own RNG stream in a fixed order (drop first,
+// short-circuiting the rest), so schedules replay identically in
+// sequential and partitioned runs.
+func (n *Node) datagramFate(to proto.NodeID, size int) (copies int, delay time.Duration) {
+	if !n.reachable(to) {
+		n.stats.MsgsLost++
+		n.stats.BytesLost += int64(size)
+		return 0, 0
+	}
+	if !n.lan.faultNetOn {
+		return 1, 0
+	}
 	nf := &n.lan.faults.Net
 	if nf.DropRate > 0 && n.rng.Float64() < nf.DropRate {
-		return true, false, 0
+		n.stats.MsgsLost++
+		n.stats.BytesLost += int64(size)
+		return 0, 0
 	}
+	copies = 1
 	if nf.DupRate > 0 && n.rng.Float64() < nf.DupRate {
-		dup = true
+		copies = 2
 	}
 	if nf.DelayRate > 0 && nf.DelayMax > 0 && n.rng.Float64() < nf.DelayRate {
 		delay = time.Duration(n.rng.Int63n(int64(nf.DelayMax)))
 	}
-	return false, dup, delay
+	return copies, delay
 }
 
 // Down reports whether the node is crashed.
@@ -1002,24 +990,7 @@ func (n *Node) pump(c *conn) {
 func (c *conn) arrive(m proto.Message, size int) {
 	dst := c.to
 	if dst.down {
-		if dst.lan.faults == nil {
-			// Legacy model: connection to a dead peer — window space never
-			// frees; messages already sent are lost.
-			return
-		}
-		if dst.frozen {
-			// Paused process: the frame sits in its socket buffer. No ack,
-			// so the sender's window fills and stalls it — backpressure,
-			// not loss. Delivered on thaw.
-			dst.held = append(dst.held, heldFrame{c: c, m: m, size: size})
-			return
-		}
-		// Dead process: connection reset. The frame is lost but its
-		// window credit returns, so the sender's window is whole once the
-		// peer recovers.
-		dst.stats.MsgsLost++
-		dst.stats.BytesLost += int64(size)
-		c.sendAck(size)
+		c.downFrame(m, size, false)
 		return
 	}
 	dst.stats.MsgsRecv++
@@ -1031,21 +1002,28 @@ func (c *conn) arrive(m proto.Message, size int) {
 // deliver runs when the receiver's CPU finishes processing the message: it
 // hands the message to the handler and sends the ack back.
 func (c *conn) deliver(m proto.Message, size int) {
-	dst := c.to
-	if dst.down {
-		if dst.lan.faults == nil {
-			return
-		}
-		if dst.frozen {
-			dst.held = append(dst.held, heldFrame{c: c, m: m, size: size, delivered: true})
-			return
-		}
-		dst.stats.MsgsLost++
-		dst.stats.BytesLost += int64(size)
-		c.sendAck(size)
+	if c.to.down {
+		c.downFrame(m, size, true)
 		return
 	}
-	dst.handler.Receive(c.from.id, m)
+	c.to.handler.Receive(c.from.id, m)
+	c.sendAck(size)
+}
+
+// downFrame disposes of a frame that reached a down receiver at either
+// leg (delivered tells which). A paused process holds it in its socket
+// buffer: no ack, so the sender's window fills and stalls it —
+// backpressure, not loss — and it is delivered on thaw. A dead process
+// resets the connection: the frame is lost but its window credit returns,
+// so the sender's window is whole once the peer recovers.
+func (c *conn) downFrame(m proto.Message, size int, delivered bool) {
+	dst := c.to
+	if dst.frozen {
+		dst.held = append(dst.held, heldFrame{c: c, m: m, size: size, delivered: delivered})
+		return
+	}
+	dst.stats.MsgsLost++
+	dst.stats.BytesLost += int64(size)
 	c.sendAck(size)
 }
 
@@ -1090,29 +1068,9 @@ func (n *Node) SendUDP(to proto.NodeID, m proto.Message) {
 		return
 	}
 	arrive := n.sendOut(size)
-	sends := 1
-	if n.lan.faults != nil {
-		// The out-link was charged either way — the NIC doesn't know the
-		// network will eat the frame.
-		if !n.reachable(to) {
-			n.stats.MsgsLost++
-			n.stats.BytesLost += int64(size)
-			return
-		}
-		if n.lan.faultNetOn {
-			drop, dup, delay := n.netFault()
-			if drop {
-				n.stats.MsgsLost++
-				n.stats.BytesLost += int64(size)
-				return
-			}
-			arrive += delay
-			if dup {
-				sends = 2
-			}
-		}
-	}
-	for i := 0; i < sends; i++ {
+	copies, delay := n.datagramFate(to, size)
+	arrive += delay
+	for i := 0; i < copies; i++ {
 		if pr := n.lan.par; pr != nil {
 			pr.out[n.lp] = append(pr.out[n.lp],
 				xrec{kind: xUDP, at: arrive, rank: n.k.NoteXCall(), size: size, src: n.id, dst: dst, msg: m})
@@ -1136,7 +1094,11 @@ func (n *Node) Multicast(g proto.GroupID, m proto.Message) {
 	// the same arrival instant at its in-link.
 	arrive := n.sendOut(size)
 	pr := n.lan.par
-	faulted := n.lan.faults != nil
+	// With no partition view and no datagram rules every copy arrives once,
+	// undelayed. Deciding that once per frame keeps the per-member
+	// datagramFate call out of the fault-free fan-out loop, which is the
+	// hot path of every multicast-heavy run.
+	unimpeded := n.partSides == nil && !n.lan.faultNetOn
 	for _, id := range n.lan.groupMembers(g) {
 		dst := n.lan.nodes[id]
 		if dst == nil {
@@ -1146,31 +1108,15 @@ func (n *Node) Multicast(g proto.GroupID, m proto.Message) {
 			n.deliverLocal(m)
 			continue
 		}
-		at := arrive
-		sends := 1
-		if faulted {
+		copies, delay := 1, time.Duration(0)
+		if !unimpeded {
 			// Per-member fate: the switch replicated the frame, but each
 			// receiver's copy crosses its own link. Draw order follows the
 			// sorted member loop, so it is identical under -par N.
-			if !n.reachable(id) {
-				n.stats.MsgsLost++
-				n.stats.BytesLost += int64(size)
-				continue
-			}
-			if n.lan.faultNetOn {
-				drop, dup, delay := n.netFault()
-				if drop {
-					n.stats.MsgsLost++
-					n.stats.BytesLost += int64(size)
-					continue
-				}
-				at += delay
-				if dup {
-					sends = 2
-				}
-			}
+			copies, delay = n.datagramFate(id, size)
 		}
-		for i := 0; i < sends; i++ {
+		at := arrive + delay
+		for i := 0; i < copies; i++ {
 			if pr != nil {
 				// Per-member records are appended — and their calls logged — in
 				// sorted member order, so the replay admits them consecutively,
@@ -1190,15 +1136,8 @@ func (n *Node) Multicast(g proto.GroupID, m proto.Message) {
 // send time and rode in the typed event.
 func (n *Node) datagramArrive(from proto.NodeID, m proto.Message, size int) {
 	if n.down {
-		if n.lan.faults != nil {
-			// A dead (or frozen — we don't model its kernel buffering
-			// datagrams it will never drain) process loses the frame.
-			n.stats.MsgsLost++
-			n.stats.BytesLost += int64(size)
-		}
-		return
-	}
-	if n.lan.cfg.LossRate > 0 && n.rng.Float64() < n.lan.cfg.LossRate {
+		// A dead (or frozen — we don't model its kernel buffering
+		// datagrams it will never drain) process loses the frame.
 		n.stats.MsgsLost++
 		n.stats.BytesLost += int64(size)
 		return

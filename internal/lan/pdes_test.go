@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fault"
 	"repro/internal/proto"
 )
 
@@ -110,7 +111,7 @@ func TestPartitionEquivalence(t *testing.T) {
 // TestPartitionDeclines pins the refusal cases: partitioning must decline —
 // and the cluster run sequentially, not corrupt itself — when there is no
 // lookahead (Latency <= 0) or when fewer than two LPs are requested.
-// Lossy configurations are accepted: LossRate draws from per-node RNG
+// Lossy networks are accepted: fault.Net drops draw from per-node RNG
 // streams, so parallel runs replay them exactly.
 func TestPartitionDeclines(t *testing.T) {
 	mk := func(mut func(*Config)) *LAN {
@@ -125,8 +126,10 @@ func TestPartitionDeclines(t *testing.T) {
 	if mk(func(c *Config) { c.Latency = 0 }).Partition(4, nil) {
 		t.Error("Partition accepted Latency=0 (zero lookahead)")
 	}
-	if !mk(func(c *Config) { c.LossRate = 0.1 }).Partition(4, nil) {
-		t.Error("Partition declined LossRate>0 (loss draws are per-node now)")
+	lossy := mk(nil)
+	lossy.InstallFaults(fault.New(1).WithNet(fault.Net{DropRate: 0.1}))
+	if !lossy.Partition(4, nil) {
+		t.Error("Partition declined a lossy network (drop draws are per-node)")
 	}
 	if mk(nil).Partition(1, nil) {
 		t.Error("Partition accepted nLP=1")

@@ -115,7 +115,10 @@ type Node struct {
 	env proto.Env
 }
 
-var _ proto.Handler = (*Node)(nil)
+var (
+	_ proto.Handler       = (*Node)(nil)
+	_ proto.VolatileLoser = (*Node)(nil)
+)
 
 // NewNode returns an empty multi-ring process.
 func NewNode() *Node {
@@ -147,15 +150,21 @@ func (n *Node) SetMerger(m *Merger) {
 // Agent returns this node's agent for ring id, or nil.
 func (n *Node) Agent(id int) *ringpaxos.MAgent { return n.agents[id] }
 
-// Start implements proto.Handler.
-func (n *Node) Start(env proto.Env) {
-	n.env = env
+// ringIDs returns the ids of the rings this node hosts an agent for,
+// ascending, so per-ring iteration never depends on map order.
+func (n *Node) ringIDs() []int {
 	ids := make([]int, 0, len(n.agents))
 	for id := range n.agents {
 		ids = append(ids, id)
 	}
 	sort.Ints(ids)
-	for _, id := range ids {
+	return ids
+}
+
+// Start implements proto.Handler.
+func (n *Node) Start(env proto.Env) {
+	n.env = env
+	for _, id := range n.ringIDs() {
 		n.agents[id].Start(ringEnv{Env: env, ring: id})
 	}
 	if n.Merger != nil {
@@ -178,6 +187,15 @@ func (n *Node) Receive(from proto.NodeID, m proto.Message) {
 	}
 	if !rm.MC {
 		ringMsgPool.Put(rm)
+	}
+}
+
+// LoseVolatile implements proto.VolatileLoser: a crash that destroys the
+// process's volatile state reaches every ring agent it hosts, in
+// ascending ring id.
+func (n *Node) LoseVolatile() {
+	for _, id := range n.ringIDs() {
+		n.agents[id].LoseVolatile()
 	}
 }
 

@@ -26,7 +26,8 @@ type rig struct {
 	m11    *Merger
 }
 
-func newRig(seed int64, lambda float64, delta time.Duration, m int64) *rig {
+// newRig starts a rig; sched, if non-nil, is installed before Start.
+func newRig(seed int64, lambda float64, delta time.Duration, m int64, sched *fault.Schedule) *rig {
 	r := &rig{l: lan.New(lan.DefaultConfig(), seed), nodes: make(map[proto.NodeID]*Node)}
 
 	cfg0 := ringpaxos.MConfig{
@@ -79,6 +80,7 @@ func newRig(seed int64, lambda float64, delta time.Duration, m int64) *rig {
 	for _, id := range []proto.NodeID{2, 3, 10} {
 		r.l.Subscribe(101, id)
 	}
+	r.l.InstallFaults(sched)
 	r.l.Start()
 	return r
 }
@@ -89,7 +91,7 @@ func (r *rig) propose(ring int, id int64, bytes int) {
 }
 
 func TestMultiRingPartialOrder(t *testing.T) {
-	r := newRig(1, 2000, time.Millisecond, 1)
+	r := newRig(1, 2000, time.Millisecond, 1, nil)
 	for i := 0; i < 60; i++ {
 		r.propose(0, int64(2*i+2), 512)
 		r.propose(1, int64(2*i+1), 512)
@@ -121,7 +123,7 @@ func TestMultiRingPartialOrder(t *testing.T) {
 
 func TestMultiRingMergeDeterminism(t *testing.T) {
 	run := func() []core.ValueID {
-		r := newRig(42, 2000, time.Millisecond, 1)
+		r := newRig(42, 2000, time.Millisecond, 1, nil)
 		for i := 0; i < 40; i++ {
 			r.propose(0, int64(2*i+2), 512)
 			r.propose(1, int64(2*i+1), 512)
@@ -144,7 +146,7 @@ func TestMultiRingSkipsUnblockIdleRing(t *testing.T) {
 	// Only ring 0 carries traffic. Without skips the merged learner would
 	// block forever waiting for ring 1; the pacer's skip instances let it
 	// deliver everything.
-	r := newRig(2, 4000, time.Millisecond, 1)
+	r := newRig(2, 4000, time.Millisecond, 1, nil)
 	for i := 0; i < 80; i++ {
 		r.propose(0, int64(i+1), 512)
 	}
@@ -157,7 +159,7 @@ func TestMultiRingSkipsUnblockIdleRing(t *testing.T) {
 func TestMultiRingNoSkipsBlocksMergedLearner(t *testing.T) {
 	// Control for the test above: λ=0 disables pacing, so the merged
 	// learner must stall while the single-ring learner proceeds.
-	r := newRig(3, 0, 0, 1)
+	r := newRig(3, 0, 0, 1, nil)
 	for i := 0; i < 50; i++ {
 		r.propose(0, int64(i+1), 512)
 	}
@@ -174,7 +176,7 @@ func TestMultiRingNoSkipsBlocksMergedLearner(t *testing.T) {
 
 func TestMultiRingLargerM(t *testing.T) {
 	// M=10: merge still delivers everything, in deterministic order.
-	r := newRig(4, 3000, time.Millisecond, 10)
+	r := newRig(4, 3000, time.Millisecond, 10, nil)
 	for i := 0; i < 60; i++ {
 		r.propose(0, int64(2*i+2), 512)
 		r.propose(1, int64(2*i+1), 512)
@@ -186,7 +188,7 @@ func TestMultiRingLargerM(t *testing.T) {
 }
 
 func TestMultiRingCoordinatorFailureAndRecovery(t *testing.T) {
-	r := newRig(5, 3000, time.Millisecond, 1)
+	r := newRig(5, 3000, time.Millisecond, 1, nil)
 	stop := false
 	n := 0
 	env := r.l.Node(20)
@@ -239,6 +241,46 @@ func TestMultiRingCoordinatorFailureAndRecovery(t *testing.T) {
 		if ring0[i] != r.single[i] {
 			t.Fatalf("ring-0 order diverges at %d after recovery", i)
 		}
+	}
+}
+
+// TestNodeLoseVolatileReachesRingAgents Lose-crashes ring 1's coordinator
+// (node 3) at the instant it stages values for proposal and restarts it
+// before the batch timer would cut them. The crash destroys the staged
+// values — proto.VolatileLoser must reach the ring agent through the
+// Node — so they are never ordered, while values proposed after the
+// restart still are.
+func TestNodeLoseVolatileReachesRingAgents(t *testing.T) {
+	const crashAt = 100 * time.Millisecond
+	var r *rig
+	stage := func() {
+		for i := int64(0); i < 5; i++ {
+			r.nodes[3].Agent(1).Propose(core.Value{ID: core.ValueID(1001 + 2*i), Bytes: 512})
+		}
+	}
+	r = newRig(7, 2000, time.Millisecond, 1, fault.New(7).
+		Call(crashAt, 3, stage).
+		CrashFor(crashAt, 200*time.Microsecond, 3, fault.Lose))
+	r.l.Run(crashAt + 50*time.Millisecond)
+	for i := int64(0); i < 5; i++ {
+		r.propose(1, 2001+2*i, 512)
+	}
+	r.l.Run(time.Second)
+
+	var staged, after int
+	for _, v := range r.merged {
+		switch {
+		case v > 1000 && v < 2000:
+			staged++
+		case v > 2000:
+			after++
+		}
+	}
+	if staged != 0 {
+		t.Fatalf("%d values staged at the coordinator survived its Lose crash", staged)
+	}
+	if after != 5 {
+		t.Fatalf("ring 1 delivered %d of 5 values proposed after the restart", after)
 	}
 }
 

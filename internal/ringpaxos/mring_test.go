@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/lan"
 	"repro/internal/proto"
 )
@@ -22,12 +23,14 @@ type mDeploy struct {
 	spec     map[proto.NodeID][]core.ValueID
 }
 
-func deployM(t testing.TB, cfg MConfig, nRing, nLearn int, lc lan.Config, seed int64) *mDeploy {
+// deployM starts an mDeploy on a network that drops datagrams with
+// probability drop (fault.Net.DropRate).
+func deployM(t testing.TB, cfg MConfig, nRing, nLearn int, drop float64, seed int64) *mDeploy {
 	if t != nil {
 		t.Helper()
 	}
 	d := &mDeploy{
-		l:      lan.New(lc, seed),
+		l:      lan.New(lan.DefaultConfig(), seed),
 		agents: make(map[proto.NodeID]*MAgent),
 		deliv:  make(map[proto.NodeID][]core.ValueID),
 		spec:   make(map[proto.NodeID][]core.ValueID),
@@ -62,6 +65,7 @@ func deployM(t testing.TB, cfg MConfig, nRing, nLearn int, lc lan.Config, seed i
 	d.prop = &MAgent{Cfg: cfg}
 	d.agents[200] = d.prop
 	d.l.AddNode(200, d.prop)
+	d.l.InstallFaults(fault.New(seed).WithNet(fault.Net{DropRate: drop}))
 	d.l.Start()
 	return d
 }
@@ -104,39 +108,35 @@ func checkTotalOrder(t *testing.T, deliv map[proto.NodeID][]core.ValueID, learne
 }
 
 func TestMRingBasicAgreement(t *testing.T) {
-	d := deployM(t, MConfig{}, 2, 3, lan.DefaultConfig(), 1)
+	d := deployM(t, MConfig{}, 2, 3, 0, 1)
 	d.propose(200, 512)
 	d.l.Run(2 * time.Second)
 	checkTotalOrder(t, d.deliv, d.learners, 200)
 }
 
 func TestMRingLargerRing(t *testing.T) {
-	d := deployM(t, MConfig{}, 5, 2, lan.DefaultConfig(), 2)
+	d := deployM(t, MConfig{}, 5, 2, 0, 2)
 	d.propose(100, 1024)
 	d.l.Run(2 * time.Second)
 	checkTotalOrder(t, d.deliv, d.learners, 100)
 }
 
 func TestMRingUnderMessageLoss(t *testing.T) {
-	lc := lan.DefaultConfig()
-	lc.LossRate = 0.05 // 5% datagram loss
-	d := deployM(t, MConfig{}, 3, 2, lc, 3)
+	d := deployM(t, MConfig{}, 3, 2, 0.05, 3) // 5% datagram loss
 	d.propose(150, 512)
 	d.l.Run(5 * time.Second)
 	checkTotalOrder(t, d.deliv, d.learners, 150)
 }
 
 func TestMRingHeavyLossStillConsistent(t *testing.T) {
-	lc := lan.DefaultConfig()
-	lc.LossRate = 0.25
-	d := deployM(t, MConfig{}, 2, 2, lc, 4)
+	d := deployM(t, MConfig{}, 2, 2, 0.25, 4)
 	d.propose(60, 512)
 	d.l.Run(10 * time.Second)
 	checkTotalOrder(t, d.deliv, d.learners, 60)
 }
 
 func TestMRingDiskSync(t *testing.T) {
-	d := deployM(t, MConfig{DiskSync: true}, 3, 2, lan.DefaultConfig(), 1)
+	d := deployM(t, MConfig{DiskSync: true}, 3, 2, 0, 1)
 	d.propose(80, 512)
 	d.l.Run(3 * time.Second)
 	checkTotalOrder(t, d.deliv, d.learners, 80)
@@ -148,7 +148,7 @@ func TestMRingDiskSync(t *testing.T) {
 }
 
 func TestMRingSpeculativeDelivery(t *testing.T) {
-	d := deployM(t, MConfig{Speculative: true}, 2, 2, lan.DefaultConfig(), 1)
+	d := deployM(t, MConfig{Speculative: true}, 2, 2, 0, 1)
 	d.propose(100, 512)
 	d.l.Run(2 * time.Second)
 	checkTotalOrder(t, d.deliv, d.learners, 100)
@@ -175,7 +175,7 @@ func TestMRingFlowControlShrinksWindow(t *testing.T) {
 		FlowThreshold: 8,
 		Window:        64,
 	}
-	d := deployM(t, cfg, 2, 1, lan.DefaultConfig(), 1)
+	d := deployM(t, cfg, 2, 1, 0, 1)
 	// Offer far more than the learner can process.
 	stop := false
 	n := 0
@@ -207,7 +207,7 @@ func TestMRingFlowControlShrinksWindow(t *testing.T) {
 
 func TestMRingGarbageCollection(t *testing.T) {
 	cfg := MConfig{GCInterval: 5 * time.Millisecond}
-	d := deployM(t, cfg, 2, 2, lan.DefaultConfig(), 1)
+	d := deployM(t, cfg, 2, 2, 0, 1)
 	d.propose(400, 1024)
 	d.l.Run(2 * time.Second)
 	checkTotalOrder(t, d.deliv, d.learners, 400)
@@ -221,7 +221,7 @@ func TestMRingGarbageCollection(t *testing.T) {
 }
 
 func TestMRingCoordinatorFailover(t *testing.T) {
-	d := deployM(t, MConfig{}, 3, 2, lan.DefaultConfig(), 1)
+	d := deployM(t, MConfig{}, 3, 2, 0, 1)
 	d.propose(50, 512)
 	d.l.Run(time.Second)
 	if len(d.deliv[d.learners[0]]) != 50 {
@@ -254,7 +254,7 @@ func TestMRingPartitionedDelivery(t *testing.T) {
 			102: 1<<0 | 1<<1,
 		},
 	}
-	d := deployM(t, cfg, 2, 3, lan.DefaultConfig(), 1)
+	d := deployM(t, cfg, 2, 3, 0, 1)
 	// Wire the partition groups: acceptors listen on all addresses
 	// (§4.2.2); learners only on their partitions.
 	for i := 0; i < 2; i++ {
@@ -312,9 +312,7 @@ func TestMRingPartitionedDelivery(t *testing.T) {
 func TestQuickMRingTotalOrder(t *testing.T) {
 	f := func(seed int64, nVals uint8, loss uint8) bool {
 		n := int(nVals%50) + 1
-		lc := lan.DefaultConfig()
-		lc.LossRate = float64(loss%20) / 100
-		d := deployM(nil, MConfig{}, 2, 2, lc, seed)
+		d := deployM(nil, MConfig{}, 2, 2, float64(loss%20)/100, seed)
 		for i := 0; i < n; i++ {
 			d.prop.Propose(core.Value{ID: core.ValueID(i + 1), Bytes: 256})
 		}
@@ -340,7 +338,7 @@ func TestQuickMRingTotalOrder(t *testing.T) {
 
 func TestMRingThroughputNearWireSpeed(t *testing.T) {
 	// §3.5.3: M-Ring Paxos reaches ~90% of a gigabit network.
-	d := deployM(t, MConfig{}, 3, 5, lan.DefaultConfig(), 1)
+	d := deployM(t, MConfig{}, 3, 5, 0, 1)
 	stop := false
 	n := 0
 	env := d.l.Node(200)

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/lan"
 	"repro/internal/proto"
 )
 
@@ -21,7 +20,7 @@ import (
 // without perturbing what is delivered.
 func TestURingGCBoundsVoteLogs(t *testing.T) {
 	run := func(cfg UConfig) *uDeploy {
-		d := deployU(cfg, 4, lan.DefaultConfig(), 1)
+		d := deployU(cfg, 4, 0, 1)
 		for i := 0; i < 200; i++ {
 			d.agents[0].Propose(core.Value{ID: core.ValueID(i + 1), Bytes: 512})
 		}

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/lan"
 	"repro/internal/proto"
 )
@@ -17,9 +18,11 @@ type uDeploy struct {
 	deliv  map[proto.NodeID][]core.ValueID
 }
 
-func deployU(cfg UConfig, n int, lc lan.Config, seed int64) *uDeploy {
+// deployU starts a uDeploy of n processes on a network that drops
+// datagrams with probability drop (fault.Net.DropRate).
+func deployU(cfg UConfig, n int, drop float64, seed int64) *uDeploy {
 	d := &uDeploy{
-		l:     lan.New(lc, seed),
+		l:     lan.New(lan.DefaultConfig(), seed),
 		deliv: make(map[proto.NodeID][]core.ValueID),
 	}
 	for i := 0; i < n; i++ {
@@ -35,12 +38,13 @@ func deployU(cfg UConfig, n int, lc lan.Config, seed int64) *uDeploy {
 		d.agents = append(d.agents, a)
 		d.l.AddNode(id, a)
 	}
+	d.l.InstallFaults(fault.New(seed).WithNet(fault.Net{DropRate: drop}))
 	d.l.Start()
 	return d
 }
 
 func TestURingBasicAgreement(t *testing.T) {
-	d := deployU(UConfig{}, 3, lan.DefaultConfig(), 1)
+	d := deployU(UConfig{}, 3, 0, 1)
 	for i := 0; i < 150; i++ {
 		d.agents[0].Propose(core.Value{ID: core.ValueID(i + 1), Bytes: 512})
 	}
@@ -55,7 +59,7 @@ func TestURingBasicAgreement(t *testing.T) {
 func TestURingProposalsFromEveryNode(t *testing.T) {
 	// Proposals forwarded along the ring reach the coordinator and get
 	// ordered, wherever they originate.
-	d := deployU(UConfig{}, 5, lan.DefaultConfig(), 2)
+	d := deployU(UConfig{}, 5, 0, 2)
 	id := 0
 	for round := 0; round < 20; round++ {
 		for p := 0; p < 5; p++ {
@@ -74,7 +78,7 @@ func TestURingProposalsFromEveryNode(t *testing.T) {
 func TestURingSubsetAcceptors(t *testing.T) {
 	// 7-process ring with only 3 acceptors (positions 0..2): learners at
 	// positions 3..6 still deliver everything in order.
-	d := deployU(UConfig{NumAcceptors: 3}, 7, lan.DefaultConfig(), 3)
+	d := deployU(UConfig{NumAcceptors: 3}, 7, 0, 3)
 	for i := 0; i < 100; i++ {
 		d.agents[4].Propose(core.Value{ID: core.ValueID(i + 1), Bytes: 512})
 	}
@@ -89,9 +93,7 @@ func TestURingSubsetAcceptors(t *testing.T) {
 func TestURingNoDatagramLoss(t *testing.T) {
 	// U-Ring Paxos uses only reliable channels; datagram loss rates must
 	// not affect it at all.
-	lc := lan.DefaultConfig()
-	lc.LossRate = 0.5
-	d := deployU(UConfig{}, 3, lc, 4)
+	d := deployU(UConfig{}, 3, 0.5, 4)
 	for i := 0; i < 50; i++ {
 		d.agents[1].Propose(core.Value{ID: core.ValueID(i + 1), Bytes: 512})
 	}
@@ -104,7 +106,7 @@ func TestURingNoDatagramLoss(t *testing.T) {
 }
 
 func TestURingDiskSync(t *testing.T) {
-	d := deployU(UConfig{DiskSync: true}, 3, lan.DefaultConfig(), 1)
+	d := deployU(UConfig{DiskSync: true}, 3, 0, 1)
 	for i := 0; i < 60; i++ {
 		d.agents[0].Propose(core.Value{ID: core.ValueID(i + 1), Bytes: 512})
 	}
@@ -123,7 +125,7 @@ func TestURingDiskSync(t *testing.T) {
 
 func TestURingThroughputNearWireSpeed(t *testing.T) {
 	// §3.5.3 / Table 3.2: U-Ring Paxos reaches ~90% efficiency.
-	d := deployU(UConfig{}, 3, lan.DefaultConfig(), 1)
+	d := deployU(UConfig{}, 3, 0, 1)
 	stop := false
 	n := 0
 	env := d.l.Node(0)
@@ -150,7 +152,7 @@ func TestURingThroughputNearWireSpeed(t *testing.T) {
 
 func TestURingLatencyGrowsWithRingSize(t *testing.T) {
 	lat := func(n int) time.Duration {
-		d := deployU(UConfig{}, n, lan.DefaultConfig(), 1)
+		d := deployU(UConfig{}, n, 0, 1)
 		var lats []time.Duration
 		d.agents[0].Latencies = &lats
 		env := d.l.Node(0)
@@ -181,7 +183,7 @@ func TestURingSlowLearnerBackpressure(t *testing.T) {
 	// One slow node on the ring bounds the whole ring's delivery rate but
 	// never causes loss (TCP flow control, §3.3.6).
 	cfg := UConfig{ExecCost: 100 * time.Microsecond}
-	d := deployU(cfg, 3, lan.DefaultConfig(), 1)
+	d := deployU(cfg, 3, 0, 1)
 	stop := false
 	n := 0
 	env := d.l.Node(0)

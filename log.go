@@ -1,8 +1,6 @@
 package repro
 
 import (
-	"time"
-
 	"repro/internal/ringpaxos"
 	"repro/internal/wal"
 )
@@ -12,6 +10,13 @@ import (
 // quickest way to embed a totally ordered, fault-tolerant log in an
 // application (U-Ring Paxos because plain sockets have no ip-multicast,
 // §3.3.3).
+//
+// The ring runs the U-Ring library defaults. Its coordinator is
+// self-clocked: a value that finds it idle (nothing staged, no instance
+// open) is proposed at once and commits in ring-hop time, and values that
+// arrive while an instance is open batch behind it. Learner-version
+// garbage collection (§3.3.7) is on, so a long-lived log holds a bounded
+// window of instances instead of one vote per append forever.
 type ReplicatedLog struct {
 	agents map[NodeID]*URingAgent
 	nodes  map[NodeID]*ClusterNode
@@ -23,23 +28,6 @@ type LogConfig struct {
 	Nodes []NodeID
 	// Deliver is invoked on each node, in the agreed total order.
 	Deliver func(node NodeID, inst int64, v Value)
-	// BatchDelay is an upper bound, not a cost every append pays: the ring
-	// coordinator is self-clocked. A value that finds it idle (nothing
-	// staged, no instance open) is proposed at once and commits in ring-hop
-	// time; values that arrive while an instance is open are batched behind
-	// it and leave when it is decided, or when they fill a packet. The
-	// delay only bounds the wait of a staged value when neither happens.
-	// Zero resolves to 500 µs.
-	BatchDelay time.Duration
-	// GCInterval is the learner-version garbage collection period
-	// (§3.3.7): every node periodically reports its applied instance and
-	// vote-log entries below every node's report are trimmed, so a
-	// long-lived log holds a bounded window of instances instead of
-	// leaking one vote per append forever. Zero resolves to the U-Ring
-	// default (garbage collection is ON by default); a negative value
-	// disables it — the pre-plumbing behavior, kept only as an explicit
-	// escape hatch.
-	GCInterval time.Duration
 	// WALDir, when non-empty, turns on write-ahead logging
 	// (ringpaxos.DurWAL): every acceptor appends its promises and votes
 	// to an in-memory wal.Log before acting on them, and the cluster
@@ -55,12 +43,7 @@ type LogConfig struct {
 // Cluster.WALError after the first append.
 func NewReplicatedLog(c *Cluster, cfg LogConfig) *ReplicatedLog {
 	l := &ReplicatedLog{agents: make(map[NodeID]*URingAgent), nodes: make(map[NodeID]*ClusterNode)}
-	ucfg := ringpaxos.UConfig{
-		Ring:       cfg.Nodes,
-		Learners:   cfg.Nodes,
-		BatchDelay: cfg.BatchDelay,
-		GCInterval: cfg.GCInterval,
-	}
+	ucfg := ringpaxos.UConfig{Ring: cfg.Nodes, Learners: cfg.Nodes}
 	if cfg.WALDir != "" {
 		ucfg.Durability = ringpaxos.DurWAL
 		if err := c.EnableWAL(cfg.WALDir); err != nil {

@@ -19,7 +19,6 @@ func TestRealtimeReplicatedLog(t *testing.T) {
 			deliv[node] = append(deliv[node], v.ID)
 			mu.Unlock()
 		},
-		BatchDelay: time.Millisecond,
 	})
 	c.Start()
 	defer c.Stop()

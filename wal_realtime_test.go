@@ -22,9 +22,8 @@ func TestRealtimeLogWALBacksDiskWrites(t *testing.T) {
 	c := NewCluster(7)
 	var probe int
 	log := NewReplicatedLog(c, LogConfig{
-		Nodes:      []NodeID{1, 2, 3},
-		BatchDelay: time.Millisecond,
-		WALDir:     dir,
+		Nodes:  []NodeID{1, 2, 3},
+		WALDir: dir,
 		Deliver: func(node NodeID, _ int64, _ Value) {
 			if node == 1 {
 				probe++
