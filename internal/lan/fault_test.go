@@ -374,9 +374,9 @@ func TestNetFaultDropDupDelay(t *testing.T) {
 }
 
 // A network that duplicates datagrams cannot count a multicast's
-// consumers: receiver-counted shared buffers (core.DecBuf) must fall back
+// consumers: receiver-counted messages (proto.SharedPool) must fall back
 // to the garbage collector there, or the duplicate's second release
-// recycles the buffer under a receiver that has not read it yet.
+// recycles the message under a receiver that has not read it yet.
 func TestGroupSizeUncountableUnderDuplication(t *testing.T) {
 	size := func(net fault.Net) int {
 		l := New(DefaultConfig(), 1)

@@ -695,8 +695,8 @@ func (n *Node) Now() time.Duration { return n.k.Now() }
 // GroupSize implements proto.GroupSizer: the number of subscribers of g —
 // or 0 ("cannot count") while the installed fault schedule duplicates
 // datagrams: a receiver that consumes one multicast twice releases a
-// shared buffer twice, so any count would undercount and recycle the
-// buffer under a receiver still reading it.
+// receiver-counted message twice, so any count would undercount and
+// recycle the message under a receiver still reading it.
 func (n *Node) GroupSize(g proto.GroupID) int {
 	if f := n.lan.faults; f != nil && f.Net.DupRate > 0 {
 		return 0

@@ -25,19 +25,23 @@ import (
 
 // RingMsg wraps an M-Ring Paxos message with its ring id so several rings
 // can share nodes (Chapter 5: "machines can be shared among rings"). It is
-// sent as a pooled pointer: the receiving Node unwraps it and recycles the
-// envelope, except for multicast copies (MC), which fan out to several
-// receivers and belong to no one.
+// a pooled pointer under the receiver-count rule (proto.SharedPool): a Send
+// arms one receiver, a multicast the group's subscriber count, and the
+// receiving Node releases it once the inner agent returns. A datagram is
+// never armed, because a duplicating network delivers it twice.
 type RingMsg struct {
+	proto.Refs
 	Ring  int
 	Inner proto.Message
-	MC    bool
 }
 
 // Size implements proto.Message.
-func (m RingMsg) Size() int { return 4 + m.Inner.Size() }
+func (m *RingMsg) Size() int { return 4 + m.Inner.Size() }
 
-var ringMsgPool proto.MsgPool[RingMsg]
+// Reset implements proto.Shared.
+func (m *RingMsg) Reset() { m.Ring, m.Inner = 0, nil }
+
+var ringMsgPool proto.SharedPool[RingMsg, *RingMsg]
 
 // skipMark is the payload of a skip batch: it stands for N consecutive
 // empty consensus instances.
@@ -66,22 +70,20 @@ type ringEnv struct {
 	ring int
 }
 
-func (e ringEnv) Send(to proto.NodeID, m proto.Message) {
+// wrap returns m in an envelope armed for the given number of receivers.
+func (e ringEnv) wrap(m proto.Message, receivers int) *RingMsg {
 	w := ringMsgPool.Get()
 	w.Ring, w.Inner = e.ring, m
-	e.Env.Send(to, w)
+	w.Arm(receivers)
+	return w
 }
 
-func (e ringEnv) SendUDP(to proto.NodeID, m proto.Message) {
-	w := ringMsgPool.Get()
-	w.Ring, w.Inner = e.ring, m
-	e.Env.SendUDP(to, w)
-}
+func (e ringEnv) Send(to proto.NodeID, m proto.Message) { e.Env.Send(to, e.wrap(m, 1)) }
+
+func (e ringEnv) SendUDP(to proto.NodeID, m proto.Message) { e.Env.SendUDP(to, e.wrap(m, 0)) }
 
 func (e ringEnv) Multicast(g proto.GroupID, m proto.Message) {
-	w := ringMsgPool.Get()
-	w.Ring, w.Inner, w.MC = e.ring, m, true
-	e.Env.Multicast(g, w)
+	e.Env.Multicast(g, e.wrap(m, proto.GroupSizeOf(e.Env, g)))
 }
 
 // AfterFree / AfterFreeArg forward the allocation-free timer path of the
@@ -100,7 +102,7 @@ func (e ringEnv) AfterFreeArg(d time.Duration, fn func(int64), arg int64) {
 func (e ringEnv) Down() bool { return proto.EnvDown(e.Env) }
 
 // GroupSize forwards proto.GroupSizer (0 when the underlying environment
-// has none): ring agents stamp shared decision buffers with it.
+// has none): ring agents arm their multicasts with it.
 func (e ringEnv) GroupSize(g proto.GroupID) int { return proto.GroupSizeOf(e.Env, g) }
 
 // Node hosts one process's roles across all rings: any number of ring
@@ -176,7 +178,7 @@ func (n *Node) Start(env proto.Env) {
 }
 
 // Receive implements proto.Handler: unwraps ring messages, dispatches, and
-// recycles the unicast envelope (its final consumer is this node).
+// releases the envelope once the agent has returned.
 func (n *Node) Receive(from proto.NodeID, m proto.Message) {
 	rm, ok := m.(*RingMsg)
 	if !ok {
@@ -185,9 +187,7 @@ func (n *Node) Receive(from proto.NodeID, m proto.Message) {
 	if a, ok := n.agents[rm.Ring]; ok {
 		a.Receive(from, rm.Inner)
 	}
-	if !rm.MC {
-		ringMsgPool.Put(rm)
-	}
+	ringMsgPool.Release(rm)
 }
 
 // LoseVolatile implements proto.VolatileLoser: a crash that destroys the

@@ -371,8 +371,9 @@ func (a *Agent) Receive(from proto.NodeID, m proto.Message) {
 		}
 	case msgLearnReq:
 		a.onLearnReq(from, msg)
-	case proto.VersionReport:
-		a.onVersionReport(msg)
+	case *proto.VersionReport:
+		a.onVersionReport(*msg)
+		proto.VersionReportPool.Put(msg)
 	case proto.TrimFloor:
 		a.onTrimFloor(msg)
 	}
@@ -638,10 +639,12 @@ func (a *Agent) gapTick() {
 // versionTick reports this learner's applied version to the coordinator,
 // which owns the trim floor.
 func (a *Agent) versionTick() {
-	m := proto.VersionReport{From: a.env.ID(), Inst: a.nextDeliver - 1}
+	r := proto.VersionReport{From: a.env.ID(), Inst: a.nextDeliver - 1}
 	if a.isCoord {
-		a.onVersionReport(m)
+		a.onVersionReport(r)
 	} else {
+		m := proto.VersionReportPool.Get()
+		*m = r
 		a.env.Send(a.coordHint, m)
 	}
 	proto.AfterFree(a.env, a.Cfg.GCInterval, a.versionFn)

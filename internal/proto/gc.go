@@ -22,7 +22,7 @@ const gcHeaderBytes = 32 // same modeled fixed header as every protocol message
 // VersionReport announces that consumer From has applied every instance
 // up to and including Inst. Hops counts forwards for protocols that
 // circulate the report along a ring, so circulation stops after one
-// revolution.
+// revolution. It travels as a pooled pointer (VersionReportPool).
 type VersionReport struct {
 	From NodeID
 	Inst int64
@@ -30,7 +30,12 @@ type VersionReport struct {
 }
 
 // Size implements Message.
-func (m VersionReport) Size() int { return gcHeaderBytes }
+func (m *VersionReport) Size() int { return gcHeaderBytes }
+
+// VersionReportPool recycles version reports. Every hop is a Send, so each
+// report has one consumer at a time: a ring forwards the same pointer, and
+// the hop that stops circulating it puts it back.
+var VersionReportPool MsgPool[VersionReport]
 
 // TrimFloor instructs a log holder to drop instances at or below Inst:
 // every consumer has reported them applied, so no retransmission or

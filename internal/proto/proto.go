@@ -131,21 +131,20 @@ func WorkArg(env Env, d time.Duration, fn func(int64), arg int64) {
 }
 
 // GroupSizer is the optional interface for environments that can report how
-// many nodes subscribe to a multicast group. Protocols that share one
-// payload buffer across a multicast's receivers use it to stamp the buffer
-// with a receiver count so the last consumer can recycle it; on
-// environments without it the buffer simply falls back to garbage
-// collection. The count may only shrink through failures after the send
-// (a crashed receiver never consumes), so a GroupSize taken at send time
-// can overcount actual consumers — which delays recycling — but never
-// undercounts, which would recycle a buffer still in use.
+// many nodes subscribe to a multicast group. Senders of receiver-counted
+// messages (SharedPool) arm them with it so the last receiver can recycle
+// the message; on environments without it the message simply falls back
+// to garbage collection. The count may only shrink through failures after
+// the send (a crashed receiver never consumes), so a GroupSize taken at
+// send time can overcount actual consumers — which leaves the message to
+// the garbage collector — but never undercounts, which would recycle a
+// message still in use.
 type GroupSizer interface {
 	GroupSize(g GroupID) int
 }
 
 // GroupSizeOf returns env's subscriber count for g, or 0 when env cannot
-// report one (senders then skip buffer stamping and let the garbage
-// collector reclaim the payload). Wrapper environments forward it so the
+// report one (the message is then left unarmed, for the garbage collector). Wrapper environments forward it so the
 // capability of the underlying network is not hidden by embedding.
 func GroupSizeOf(env Env, g GroupID) int {
 	if gs, ok := env.(GroupSizer); ok {

@@ -41,7 +41,7 @@ type versionCounter struct{ n *int64 }
 
 func (versionCounter) Start(proto.Env) {}
 func (c versionCounter) Receive(_ proto.NodeID, m proto.Message) {
-	if _, ok := m.(proto.VersionReport); ok {
+	if _, ok := m.(*proto.VersionReport); ok {
 		*c.n++
 	}
 }

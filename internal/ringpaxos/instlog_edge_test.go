@@ -142,14 +142,14 @@ func newAcceptorAgent() (*MAgent, *fakeEnv) {
 func TestAcceptorTrimAndRetransmit(t *testing.T) {
 	a, env := newAcceptorAgent()
 	for inst := int64(0); inst < 8; inst++ {
-		a.onPhase2A(mPhase2A{Inst: inst, Rnd: 1 << 10, VID: core.ValueID(1000 + inst), Val: batchOf(core.ValueID(inst))})
+		a.onPhase2A(&mPhase2A{Inst: inst, Rnd: 1 << 10, VID: core.ValueID(1000 + inst), Val: batchOf(core.ValueID(inst))})
 	}
 	if a.store.Len() != 8 || a.StoreBytes() == 0 {
 		t.Fatalf("store %d entries, %d bytes", a.store.Len(), a.StoreBytes())
 	}
 	// Both learners report version 4: instances 0..4 trim.
-	a.onVersion(proto.VersionReport{From: 100, Inst: 4, Hops: 1})
-	a.onVersion(proto.VersionReport{From: 101, Inst: 4, Hops: 1})
+	a.onVersion(&proto.VersionReport{From: 100, Inst: 4, Hops: 1})
+	a.onVersion(&proto.VersionReport{From: 101, Inst: 4, Hops: 1})
 	if a.store.Len() != 3 {
 		t.Fatalf("store %d entries after GC, want 3", a.store.Len())
 	}
@@ -188,12 +188,12 @@ func TestAcceptorParked2BSurvivesRing(t *testing.T) {
 		t.Fatal("2B forwarded before the 2A arrived")
 	}
 	// A 2A with a DIFFERENT vid must not release it.
-	a.onPhase2A(mPhase2A{Inst: 7, Rnd: 1 << 10, VID: 9999, Val: batchOf(1)})
+	a.onPhase2A(&mPhase2A{Inst: 7, Rnd: 1 << 10, VID: 9999, Val: batchOf(1)})
 	if len(env.sends) != 0 {
 		t.Fatal("parked 2B released by mismatched vid")
 	}
 	// The matching 2A releases it to the successor (node 2).
-	a.onPhase2A(mPhase2A{Inst: 7, Rnd: 1 << 10, VID: 1007, Val: batchOf(1)})
+	a.onPhase2A(&mPhase2A{Inst: 7, Rnd: 1 << 10, VID: 1007, Val: batchOf(1)})
 	var forwarded bool
 	for _, s := range env.sends {
 		if m, ok := s.m.(*mPhase2B); ok && s.to == 2 && m.Inst == 7 && m.VID == 1007 {

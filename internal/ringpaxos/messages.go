@@ -42,24 +42,28 @@ type (
 		Floor   int64
 		Votes   map[int64]vote
 	}
+	// decIDs is a run of decided instance ids with their partition masks
+	// (partitioned mode) and the chosen value ids, index-parallel.
+	// Consensus is on value ids, so the vid IS the decision: it travels
+	// inside the modeled 8-byte decision id, not on top of it. The
+	// coordinator queues decisions in one and copies them into the
+	// multicast that announces them.
+	decIDs struct {
+		Insts []int64
+		Masks []uint64
+		VIDs  []core.ValueID
+	}
 	// mPhase2A proposes batch Val with unique id VID in instance Inst.
 	// Decided piggybacks decision ids of previously finished instances
-	// (the Task-5-with-Task-3 overlap of §3.3.2); DecidedMasks carries the
-	// matching partition masks in partitioned mode, DecidedVIDs the chosen
-	// value ids (consensus is on value ids, so the vid IS the decision —
-	// it travels inside the modeled 8-byte decision id, not on top of it).
+	// (the Task-5-with-Task-3 overlap of §3.3.2). It is multicast as a
+	// pooled pointer recycled by its last receiver (phase2APool).
 	mPhase2A struct {
-		Inst         int64
-		Rnd          int64
-		VID          core.ValueID
-		Val          core.Batch
-		Decided      []int64
-		DecidedMasks []uint64
-		DecidedVIDs  []core.ValueID
-		// decBuf, when non-nil, owns the Decided/DecidedMasks/DecidedVIDs
-		// arrays; each receiver releases it after consuming (see
-		// core.DecBuf). Not part of the wire size.
-		decBuf *core.DecBuf
+		proto.Refs
+		Inst    int64
+		Rnd     int64
+		VID     core.ValueID
+		Val     core.Batch
+		Decided decIDs
 	}
 	// mPhase2B travels along the ring; consensus is on value ids, so it
 	// carries no payload.
@@ -69,15 +73,10 @@ type (
 		VID  core.ValueID
 	}
 	// mDecision is a standalone decision flush (used when there is no 2A
-	// to piggyback on). Masks carries partition masks in partitioned mode;
-	// VIDs the chosen value ids (inside the modeled decision id, like
-	// mPhase2A.DecidedVIDs).
+	// to piggyback on), pooled like mPhase2A (decisionPool).
 	mDecision struct {
-		Insts []int64
-		Masks []uint64
-		VIDs  []core.ValueID
-		// decBuf: see mPhase2A.
-		decBuf *core.DecBuf
+		proto.Refs
+		decIDs
 	}
 	// mRetransmitReq asks a preferential acceptor for lost instances.
 	mRetransmitReq struct{ Insts []int64 }
@@ -184,11 +183,10 @@ func (m phase1B) Size() int {
 	}
 	return n
 }
-func (m mPhase2A) Size() int {
-	return headerBytes + m.Val.Size() + 8*len(m.Decided) + 8*len(m.DecidedMasks)
-}
+func (d *decIDs) size() int        { return 8*len(d.Insts) + 8*len(d.Masks) }
+func (m *mPhase2A) Size() int      { return headerBytes + m.Val.Size() + m.Decided.size() }
 func (m mPhase2B) Size() int       { return headerBytes }
-func (m mDecision) Size() int      { return headerBytes + 8*len(m.Insts) + 8*len(m.Masks) }
+func (m *mDecision) Size() int     { return headerBytes + m.size() }
 func (m mRetransmitReq) Size() int { return headerBytes + 8*len(m.Insts) }
 func (m mRetransmit) Size() int    { return headerBytes + m.Val.Size() }
 func (m mSlowDown) Size() int      { return headerBytes }

@@ -38,15 +38,18 @@
 //
 // # Hot-path design
 //
-// The steady-state data path is allocation-free: per-instance records live
-// in ring-indexed instance logs (core.InstLog) instead of maps, batch
-// backing arrays come from a per-agent free list (core.BatchPool) and are
-// recycled a round after the learner-version garbage collection trims the
-// instance,
+// The steady-state data path is allocation-free on a network that can count
+// a multicast's receivers (proto.GroupSizer): per-instance records live in
+// ring-indexed instance logs (core.InstLog) instead of maps, batch backing
+// arrays come from a per-agent free list (core.BatchPool) and are recycled
+// a round after the learner-version garbage collection trims the instance,
 // periodic and per-instance timers use the environment's allocation-free
-// fire-and-forget path (proto.AfterFree), and the messages that travel hop
-// by hop around the ring (proposals, Phase 2B) are pooled pointers
-// recycled by their final consumer.
+// fire-and-forget path (proto.AfterFree), and every message is a pooled
+// pointer: the ones that travel hop by hop (proposals, Phase 2B, version
+// reports) are recycled by their final consumer, the multicast Phase 2A
+// and decisions by their last receiver (proto.SharedPool). What still
+// allocates is the application's: the values' payloads, and batch arrays
+// when RecycleBatches is off.
 package ringpaxos
 
 import (
@@ -167,6 +170,43 @@ var msgProposePool proto.MsgPool[MsgPropose]
 // consumer. Moving the 2B onto SendUDP/Multicast would need the same fix.
 var phase2BPool proto.MsgPool[mPhase2B]
 
+// phase2APool and decisionPool recycle the coordinator's multicasts under
+// the receiver-count rule (proto.SharedPool): the coordinator arms each
+// with the subscriber count of the groups it goes to, every receiver's
+// Receive releases it after handling, and the last release keeps the
+// decision-id arrays for the next multicast. Nothing a receiver keeps
+// points into the message: the acceptor store, the learner log and the
+// write-ahead record copy the Batch header.
+var (
+	phase2APool  proto.SharedPool[mPhase2A, *mPhase2A]
+	decisionPool proto.SharedPool[mDecision, *mDecision]
+)
+
+// Reset implements proto.Shared.
+func (m *mPhase2A) Reset() {
+	*m = mPhase2A{Decided: m.Decided}
+	m.Decided.reset()
+}
+
+// Reset implements proto.Shared.
+func (m *mDecision) Reset() { m.reset() }
+
+func (d *decIDs) add(inst int64, mask uint64, vid core.ValueID) {
+	d.Insts = append(d.Insts, inst)
+	d.Masks = append(d.Masks, mask)
+	d.VIDs = append(d.VIDs, vid)
+}
+
+// moveTo appends d's ids to dst and empties d; both keep their arrays.
+func (d *decIDs) moveTo(dst *decIDs) {
+	dst.Insts = append(dst.Insts, d.Insts...)
+	dst.Masks = append(dst.Masks, d.Masks...)
+	dst.VIDs = append(dst.VIDs, d.VIDs...)
+	d.reset()
+}
+
+func (d *decIDs) reset() { d.Insts, d.Masks, d.VIDs = d.Insts[:0], d.Masks[:0], d.VIDs[:0] }
+
 // logEntry is an acceptor/coordinator record of one instance, stored
 // in-place in the acceptor's instance log. A vid of zero means the entry
 // only parks a Phase 2B (the 2A has not arrived); such entries behave as
@@ -241,10 +281,9 @@ type MAgent struct {
 	open     core.InstLog[openInst]
 	window   int
 	lastSlow time.Duration
-	// decQ accumulates decided instance ids between flushes. The buffer is
-	// pooled: once multicast, the last receiver recycles it (core.DecBuf),
-	// so a steady decision stream reuses the same few arrays.
-	decQ        *core.DecBuf
+	// decQ accumulates decided instance ids between flushes; a flush
+	// copies them into the multicast that announces them.
+	decQ        decIDs
 	timersArmed bool
 
 	// --- acceptor state ---
@@ -391,21 +430,21 @@ func (a *MAgent) Receive(from proto.NodeID, m proto.Message) {
 		a.onPhase1A(from, msg)
 	case phase1B:
 		a.onPhase1B(from, msg)
-	case mPhase2A:
+	case *mPhase2A:
 		a.onPhase2A(msg)
-		msg.decBuf.Release()
+		phase2APool.Release(msg)
 	case *mPhase2B:
 		a.onPhase2B(msg)
-	case mDecision:
-		a.onDecisions(msg.Insts, msg.Masks, msg.VIDs)
-		msg.decBuf.Release()
+	case *mDecision:
+		a.onDecisions(&msg.decIDs)
+		decisionPool.Release(msg)
 	case mRetransmitReq:
 		a.onRetransmitReq(from, msg)
 	case mRetransmit:
 		a.onRetransmit(msg)
 	case mSlowDown:
 		a.onSlowDown(msg)
-	case proto.VersionReport:
+	case *proto.VersionReport:
 		a.onVersion(msg)
 	case mRingChange:
 		a.announced(msg.ringAt)
@@ -423,7 +462,7 @@ func (a *MAgent) loseState() {
 	a.store = core.InstLog[logEntry]{}
 	a.storeByte = 0
 	a.open = core.InstLog[openInst]{}
-	a.decQ = nil
+	a.decQ.reset()
 	a.timersArmed = false
 	a.window = a.Cfg.Window
 }
@@ -488,26 +527,31 @@ func (a *MAgent) startInstance(b core.Batch, mask uint64, pooled bool) {
 	a.sendPhase2A(inst, oi)
 }
 
+// sendPhase2A multicasts a fresh 2A for inst. The message is armed with
+// its receiver count before the first Multicast and never read after the
+// last one: its last receiver recycles it.
 func (a *MAgent) sendPhase2A(inst int64, oi *openInst) {
-	m := mPhase2A{Inst: inst, Rnd: a.crnd, VID: oi.vid, Val: oi.val}
-	if b := a.decQ; b != nil {
-		a.decQ = nil
-		m.Decided, m.DecidedMasks, m.DecidedVIDs, m.decBuf = b.Insts, b.Masks, b.Vids, a.armDecBuf(b)
-	}
+	m := phase2APool.Get()
+	m.Inst, m.Rnd, m.VID, m.Val = inst, a.crnd, oi.vid, oi.val
 	if len(a.Cfg.PartGroups) == 0 || oi.mask == 0 {
+		a.decQ.moveTo(&m.Decided)
+		m.Arm(proto.GroupSizeOf(a.env, a.Cfg.Group))
 		a.env.Multicast(a.Cfg.Group, m)
 	} else {
 		// Partitioned mode: one 2A per concerned partition group; decision
 		// ids travel on the decision group (§4.2.2), so don't piggyback.
-		if len(m.Decided) > 0 {
-			a.env.Multicast(a.Cfg.Group, mDecision{Insts: m.Decided, Masks: m.DecidedMasks, VIDs: m.DecidedVIDs, decBuf: m.decBuf})
-			m.Decided, m.DecidedMasks, m.DecidedVIDs, m.decBuf = nil, nil, nil, nil
+		// Acceptors subscribe to every partition group and receive one
+		// copy per group, so the count sums the groups.
+		a.flushDecisions()
+		n := 0
+		for rem := oi.mask; rem != 0; rem &= rem - 1 {
+			if p := bits.TrailingZeros64(rem); p < len(a.Cfg.PartGroups) {
+				n += proto.GroupSizeOf(a.env, a.Cfg.PartGroups[p])
+			}
 		}
-		rem := oi.mask
-		for rem != 0 {
-			p := bits.TrailingZeros64(rem)
-			rem &^= 1 << p
-			if p < len(a.Cfg.PartGroups) {
+		m.Arm(n)
+		for rem := oi.mask; rem != 0; rem &= rem - 1 {
+			if p := bits.TrailingZeros64(rem); p < len(a.Cfg.PartGroups) {
 				a.env.Multicast(a.Cfg.PartGroups[p], m)
 			}
 		}
@@ -515,16 +559,16 @@ func (a *MAgent) sendPhase2A(inst int64, oi *openInst) {
 	proto.AfterFreeArg(a.env, a.Cfg.Retry, a.retryFn, inst)
 }
 
-// armDecBuf stamps b with the decision group's subscriber count so the
-// last receiver recycles it. Without a sizing environment it returns nil:
-// the id arrays still travel in the message but fall to the garbage
-// collector.
-func (a *MAgent) armDecBuf(b *core.DecBuf) *core.DecBuf {
-	if n := proto.GroupSizeOf(a.env, a.Cfg.Group); n > 0 {
-		b.Arm(n)
-		return b
+// flushDecisions multicasts the queued decision ids, if any, as a
+// standalone decision on the decision group.
+func (a *MAgent) flushDecisions() {
+	if len(a.decQ.Insts) == 0 {
+		return
 	}
-	return nil
+	m := decisionPool.Get()
+	a.decQ.moveTo(&m.decIDs)
+	m.Arm(proto.GroupSizeOf(a.env, a.Cfg.Group))
+	a.env.Multicast(a.Cfg.Group, m)
 }
 
 // retryInstance is the fire-and-forget retransmission timer: it no-ops if
@@ -584,10 +628,7 @@ func (a *MAgent) decisionFlushTick() {
 	if !a.isCoord {
 		return
 	}
-	if b := a.decQ; b != nil {
-		a.decQ = nil
-		a.env.Multicast(a.Cfg.Group, mDecision{Insts: b.Insts, Masks: b.Masks, VIDs: b.Vids, decBuf: a.armDecBuf(b)})
-	}
+	a.flushDecisions()
 	a.armDecisionFlush()
 }
 
@@ -642,12 +683,7 @@ func (a *MAgent) decide(inst int64) {
 		// vote adoption; the record just shortcuts replay).
 		a.Log.Append(a.env, wal.Record{Kind: wal.KindDecision, Inst: inst, VID: vid, Mask: mask}, nil)
 	}
-	if a.decQ == nil {
-		a.decQ = core.GetDecBuf()
-	}
-	a.decQ.Insts = append(a.decQ.Insts, inst)
-	a.decQ.Masks = append(a.decQ.Masks, mask)
-	a.decQ.Vids = append(a.decQ.Vids, vid)
+	a.decQ.add(inst, mask, vid)
 	if a.isLearner() {
 		a.learnDecision(inst, mask, vid)
 	}
@@ -683,10 +719,10 @@ func (a *MAgent) onPhase1A(from proto.NodeID, m phase1A) {
 	a.promise(from, reply)
 }
 
-func (a *MAgent) onPhase2A(m mPhase2A) {
+func (a *MAgent) onPhase2A(m *mPhase2A) {
 	// Decision ids piggybacked on the 2A are processed by every role.
-	if len(m.Decided) > 0 {
-		a.onDecisions(m.Decided, m.DecidedMasks, m.DecidedVIDs)
+	if len(m.Decided.Insts) > 0 {
+		a.onDecisions(&m.Decided)
 	}
 	if a.isCoord && m.Rnd > a.crnd {
 		// Another coordinator with a higher round is running Phase 2: this
@@ -753,7 +789,7 @@ func (a *MAgent) phase2AProceed(inst, rnd int64, vid core.ValueID) {
 }
 
 // Mask returns the partition mask of a 2A (0 = unpartitioned).
-func (m mPhase2A) Mask() uint64 {
+func (m *mPhase2A) Mask() uint64 {
 	if len(m.Val.Vals) == 0 {
 		return 0
 	}
@@ -852,10 +888,13 @@ func (a *MAgent) onSnapshot(m mSnapshot) {
 	a.tryDeliver()
 }
 
-func (a *MAgent) onVersion(m proto.VersionReport) {
+// onVersion records a learner's report and forwards the same pointer to
+// the next acceptor; the hop that stops its circulation recycles it.
+func (a *MAgent) onVersion(m *proto.VersionReport) {
 	if v, ok := a.gc.Version(int64(m.From)); ok && v >= m.Inst {
 		// Stale or already-circulated report.
 		if m.Hops >= len(a.ring)-1 {
+			proto.VersionReportPool.Put(m)
 			return
 		}
 	}
@@ -864,6 +903,8 @@ func (a *MAgent) onVersion(m proto.VersionReport) {
 	if i := a.ringIndex(); i >= 0 && m.Hops < len(a.ring)-1 {
 		m.Hops++
 		a.env.Send(a.ring[(i+1)%len(a.ring)], m)
+	} else {
+		proto.VersionReportPool.Put(m)
 	}
 	if a.Cfg.GCEvict > 0 && a.env.Now() > a.Cfg.GCEvict {
 		// A learner silent longer than GCEvict stops pinning the trim
@@ -935,19 +976,12 @@ func (a *MAgent) learnDecision(inst int64, mask uint64, vid core.ValueID) {
 	a.tryDeliver()
 }
 
-func (a *MAgent) onDecisions(insts []int64, masks []uint64, vids []core.ValueID) {
+func (a *MAgent) onDecisions(d *decIDs) {
 	if !a.isLearner() && !a.isAcceptor() {
 		return
 	}
-	for i, inst := range insts {
-		var mask uint64
-		if masks != nil {
-			mask = masks[i]
-		}
-		var vid core.ValueID
-		if vids != nil {
-			vid = vids[i]
-		}
+	for i, inst := range d.Insts {
+		mask, vid := d.Masks[i], d.VIDs[i]
 		if e, ok := a.store.Get(inst); ok && e.vid != 0 {
 			if !e.decided {
 				a.foldDedup(inst, e.val)
@@ -1091,7 +1125,9 @@ func (a *MAgent) learnerRetryTick() {
 }
 
 func (a *MAgent) versionTick() {
-	a.env.Send(a.preferential(), proto.VersionReport{From: a.env.ID(), Inst: a.nextDeliver - 1})
+	m := proto.VersionReportPool.Get()
+	m.From, m.Inst = a.env.ID(), a.nextDeliver-1
+	a.env.Send(a.preferential(), m)
 	proto.AfterFree(a.env, a.Cfg.GCInterval, a.versionFn)
 }
 
@@ -1141,10 +1177,7 @@ func (a *MAgent) ringAdopted(int64) { a.coord = a.coordOf(a.ring) }
 // against re-proposals; retrying the open instances instead would only
 // re-announce old-round values to learners.
 func (a *MAgent) dropCoordState() {
-	if b := a.decQ; b != nil {
-		a.decQ = nil
-		a.env.Multicast(a.Cfg.Group, mDecision{Insts: b.Insts, Masks: b.Masks, VIDs: b.Vids, decBuf: a.armDecBuf(b)})
-	}
+	a.flushDecisions()
 	a.open = core.InstLog[openInst]{}
 	a.timersArmed = false
 }

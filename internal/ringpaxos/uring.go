@@ -218,7 +218,7 @@ func (a *UAgent) Receive(from proto.NodeID, m proto.Message) {
 		a.onPhase2(msg)
 	case *uDecision:
 		a.onDecision(msg)
-	case proto.VersionReport:
+	case *proto.VersionReport:
 		a.onVersionReport(msg)
 	case uRingChange:
 		a.onRingChange(msg)
@@ -528,19 +528,24 @@ func (a *UAgent) versionTick() {
 	a.gc.Report(int64(a.env.ID()), v)
 	a.trimLogs()
 	if len(a.ring) > 1 {
-		a.env.Send(a.succ(), proto.VersionReport{From: a.env.ID(), Inst: v})
+		m := proto.VersionReportPool.Get()
+		m.From, m.Inst = a.env.ID(), v
+		a.env.Send(a.succ(), m)
 	}
 	proto.AfterFree(a.env, a.Cfg.GCInterval, a.versionFn)
 }
 
-// onVersionReport records a circulating report and forwards it until it
-// has completed one revolution (the originator recorded itself at send).
-func (a *UAgent) onVersionReport(m proto.VersionReport) {
+// onVersionReport records a circulating report and forwards the same
+// pointer until it has completed one revolution (the originator recorded
+// itself at send); the last hop recycles it.
+func (a *UAgent) onVersionReport(m *proto.VersionReport) {
 	a.gc.Report(int64(m.From), m.Inst)
 	a.trimLogs()
 	m.Hops++
 	if m.Hops < len(a.ring)-1 {
 		a.env.Send(a.succ(), m)
+	} else {
+		proto.VersionReportPool.Put(m)
 	}
 }
 

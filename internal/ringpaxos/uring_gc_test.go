@@ -90,24 +90,24 @@ func TestURingStragglerLearnerHoldsFloor(t *testing.T) {
 	if a.votes.Len() != 10 {
 		t.Fatalf("vote log %d entries, want 10", a.votes.Len())
 	}
-	a.onVersionReport(proto.VersionReport{From: 0, Inst: 9})
-	a.onVersionReport(proto.VersionReport{From: 1, Inst: 9})
-	a.onVersionReport(proto.VersionReport{From: 2, Inst: 9})
+	a.onVersionReport(&proto.VersionReport{From: 0, Inst: 9})
+	a.onVersionReport(&proto.VersionReport{From: 1, Inst: 9})
+	a.onVersionReport(&proto.VersionReport{From: 2, Inst: 9})
 	if a.votes.Len() != 10 {
 		t.Fatalf("trimmed with a learner unreported: %d entries", a.votes.Len())
 	}
-	a.onVersionReport(proto.VersionReport{From: 3, Inst: 2}) // the straggler
+	a.onVersionReport(&proto.VersionReport{From: 3, Inst: 2}) // the straggler
 	if a.votes.Len() != 7 {
 		t.Fatalf("vote log %d entries after straggler at 2, want 7 (3..9 live)", a.votes.Len())
 	}
 	// Fast learners run further ahead; the floor must not move.
-	a.onVersionReport(proto.VersionReport{From: 0, Inst: 20})
-	a.onVersionReport(proto.VersionReport{From: 1, Inst: 20})
+	a.onVersionReport(&proto.VersionReport{From: 0, Inst: 20})
+	a.onVersionReport(&proto.VersionReport{From: 1, Inst: 20})
 	if a.votes.Len() != 7 {
 		t.Fatalf("floor passed the straggler: %d entries", a.votes.Len())
 	}
 	// Straggler catches up: everything trims.
-	a.onVersionReport(proto.VersionReport{From: 3, Inst: 9})
+	a.onVersionReport(&proto.VersionReport{From: 3, Inst: 9})
 	if a.votes.Len() != 0 {
 		t.Fatalf("vote log %d entries after full catch-up, want 0", a.votes.Len())
 	}
@@ -159,7 +159,7 @@ func TestURingTrimmedInstanceStragglerNoGhost(t *testing.T) {
 		a.onPhase2(uPhase2Of(inst))
 	}
 	for _, learner := range []proto.NodeID{0, 1, 2, 3} {
-		a.onVersionReport(proto.VersionReport{From: learner, Inst: 4})
+		a.onVersionReport(&proto.VersionReport{From: learner, Inst: 4})
 	}
 	if a.votes.Len() != 0 {
 		t.Fatalf("vote log %d entries after trim, want 0", a.votes.Len())
