@@ -23,7 +23,9 @@ package lan
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
@@ -116,8 +118,8 @@ type LAN struct {
 	seed    int64
 	nodes   map[proto.NodeID]*Node
 	groups  map[proto.GroupID]map[proto.NodeID]bool
-	members map[proto.GroupID][]proto.NodeID // sorted, invalidated on (un)subscribe
-	par     *par                             // non-nil once Partition engaged
+	members map[proto.GroupID]*members // replaced, never mutated, on (un)subscribe and AddNode
+	par     *par                       // non-nil once Partition engaged
 
 	faults     *fault.Schedule // non-nil once InstallFaults armed the fault layer
 	faultNetOn bool            // faults.Net has active datagram rules
@@ -131,7 +133,7 @@ func New(cfg Config, seed int64) *LAN {
 		seed:    seed,
 		nodes:   make(map[proto.NodeID]*Node),
 		groups:  make(map[proto.GroupID]map[proto.NodeID]bool),
-		members: make(map[proto.GroupID][]proto.NodeID),
+		members: make(map[proto.GroupID]*members),
 	}
 	l.Sim.SetDispatcher(l.dispatch)
 	return l
@@ -140,22 +142,28 @@ func New(cfg Config, seed int64) *LAN {
 // Typed-event kinds for the simulation kernel. Every per-message callback in
 // the hot path (transmit -> receive -> ack, datagram arrival and delivery,
 // work and disk completions) is one of these, so steady-state traffic
-// schedules no closures at all.
+// schedules no closures at all. The two Fan kinds carry one multicast frame
+// for every member of a same-instant leg (see fan): P2 is the frame's
+// send-time member list and bit i of B stands for its member i. Only a
+// sequential run schedules them; a partitioned one keeps one event per
+// member (its xrec path).
 const (
-	evTCPArrive    uint8 = iota + 1 // frame cleared dst's in-link: P1=msg, P2=conn, D=size
-	evTCPDeliver                    // rx CPU done, hand to handler + ack: P1=msg, P2=conn, D=size
-	evTCPAck                        // ack reached sender, window opens: P2=conn, D=size
-	evUDPArrive                     // datagram cleared in-link: P1=msg, P2=dst node, A=src id, D=size
-	evUDPDeliver                    // rx CPU done, drain buffer + hand over: P1=msg, P2=node, A=src id, D=size
-	evNodeDeliver                   // loopback delivery: P1=msg, P2=node, A=src id
-	evNodeFunc                      // down-gated completion (Work/DiskWrite): P1=func(), P2=node
-	evNodeTimer                     // fire-and-forget protocol timer: P1=func()
-	evNodeTimerArg                  // fire-and-forget timer with argument: P1=func(int64), A=arg
-	evNodeFuncArg                   // down-gated Work completion with argument: P1=func(int64), P2=node, A=arg
-	evFaultCrash                    // fault schedule: take the node down: P2=node, A=mode
-	evFaultRestart                  // fault schedule: bring the node back: P2=node
-	evFaultPart                     // fault schedule: install partition view: P1=sides map, P2=node
-	evFaultHeal                     // fault schedule: clear partition view + re-pump: P2=node
+	evTCPArrive     uint8 = iota + 1 // frame cleared dst's in-link: P1=msg, P2=conn, D=size
+	evTCPDeliver                     // rx CPU done, hand to handler + ack: P1=msg, P2=conn, D=size
+	evTCPAck                         // ack reached sender, window opens: P2=conn, D=size
+	evUDPArrive                      // datagram cleared in-link: P1=msg, P2=dst node, A=src id, D=size
+	evUDPArriveFan                   // multicast cleared in-links: P1=msg, P2=*members, B=mask, A=src id, D=size
+	evUDPDeliver                     // rx CPU done, drain buffer + hand over: P1=msg, P2=node, A=src id, D=size
+	evUDPDeliverFan                  // rx CPUs done, per member as evUDPDeliver: P1=msg, P2=*members, B=mask, A=src id, D=size
+	evNodeDeliver                    // loopback delivery: P1=msg, P2=node, A=src id
+	evNodeFunc                       // down-gated completion (Work/DiskWrite): P1=func(), P2=node
+	evNodeTimer                      // fire-and-forget protocol timer: P1=func()
+	evNodeTimerArg                   // fire-and-forget timer with argument: P1=func(int64), A=arg
+	evNodeFuncArg                    // down-gated Work completion with argument: P1=func(int64), P2=node, A=arg
+	evFaultCrash                     // fault schedule: take the node down: P2=node, A=mode
+	evFaultRestart                   // fault schedule: bring the node back: P2=node
+	evFaultPart                      // fault schedule: install partition view: P1=sides map, P2=node
+	evFaultHeal                      // fault schedule: clear partition view + re-pump: P2=node
 )
 
 // dispatch executes one typed event. It runs inside the kernel loop at the
@@ -169,16 +177,28 @@ func (l *LAN) dispatch(ev sim.TypedEvent) {
 	case evTCPAck:
 		ev.P2.(*conn).ack(int(ev.D))
 	case evUDPArrive:
-		ev.P2.(*Node).datagramArrive(proto.NodeID(ev.A), ev.P1.(proto.Message), int(ev.D))
-	case evUDPDeliver:
 		n := ev.P2.(*Node)
-		n.udpQueued -= int(ev.D)
-		if n.down {
-			n.stats.MsgsLost++
-			n.stats.BytesLost += ev.D
-			return
+		if done, ok := n.datagramArrive(int(ev.D)); ok {
+			ev.Kind = evUDPDeliver
+			n.k.AtEvent(done, ev)
 		}
-		n.handler.Receive(proto.NodeID(ev.A), ev.P1.(proto.Message))
+	case evUDPArriveFan:
+		ms := ev.P2.(*members)
+		f := fan{k: &l.Sim.LP, ms: ms, one: evUDPDeliver, many: evUDPDeliverFan, ev: ev}
+		for b := uint64(ev.B); b != 0; b &= b - 1 {
+			i := bits.TrailingZeros64(b)
+			if done, ok := ms.nodes[i].datagramArrive(int(ev.D)); ok {
+				f.add(i, done)
+			}
+		}
+		f.flush()
+	case evUDPDeliver:
+		ev.P2.(*Node).datagramDeliver(proto.NodeID(ev.A), ev.P1.(proto.Message), int(ev.D))
+	case evUDPDeliverFan:
+		ms := ev.P2.(*members)
+		for b := uint64(ev.B); b != 0; b &= b - 1 {
+			ms.nodes[bits.TrailingZeros64(b)].datagramDeliver(proto.NodeID(ev.A), ev.P1.(proto.Message), int(ev.D))
+		}
 	case evNodeDeliver:
 		n := ev.P2.(*Node)
 		if n.down {
@@ -305,6 +325,9 @@ func (l *LAN) Partition(nLP int, lpOf func(proto.NodeID) int) bool {
 	}
 	l.par = pr
 	pr.p = &sim.Par{LPs: pr.lps, Horizon: l.cfg.Latency, Barrier: l.drainOutboxes}
+	for g := range l.groups {
+		l.regroup(g)
+	}
 	return true
 }
 
@@ -490,6 +513,11 @@ func (l *LAN) AddNodeWithConfig(id proto.NodeID, h proto.Handler, nc NodeConfig)
 		rng: rand.New(rand.NewSource(l.seed ^ int64(uint64(id+1)*0x9E3779B97F4A7C15))),
 	}
 	l.nodes[id] = n
+	for g, set := range l.groups {
+		if set[id] {
+			l.regroup(g) // the member list names nodes, not ids
+		}
+	}
 	return n
 }
 
@@ -499,7 +527,9 @@ func (l *LAN) Node(id proto.NodeID) *Node { return l.nodes[id] }
 // Nodes returns the number of nodes.
 func (l *LAN) Nodes() int { return len(l.nodes) }
 
-// Subscribe adds node id to multicast group g.
+// Subscribe adds node id to multicast group g. Like Unsubscribe, it may be
+// called at setup, from inside a sequential run, or between the runs of a
+// partitioned one; frames already sent keep the members they were sent to.
 func (l *LAN) Subscribe(g proto.GroupID, id proto.NodeID) {
 	set := l.groups[g]
 	if set == nil {
@@ -507,60 +537,74 @@ func (l *LAN) Subscribe(g proto.GroupID, id proto.NodeID) {
 		l.groups[g] = set
 	}
 	set[id] = true
-	delete(l.members, g) // invalidate the sorted-member cache
+	l.regroup(g)
 }
 
 // Unsubscribe removes node id from multicast group g.
 func (l *LAN) Unsubscribe(g proto.GroupID, id proto.NodeID) {
 	delete(l.groups[g], id)
-	delete(l.members, g)
+	l.regroup(g)
 }
 
 // sortNodeIDs orders ids ascending; every deterministic iteration over node
 // sets (multicast fan-out, Start order) funnels through it.
 func sortNodeIDs(ids []proto.NodeID) {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 }
 
-// groupMembers returns group g's subscribers in ascending id order, so
-// multicast fan-out is deterministic. The sorted slice is cached until the
-// group's membership changes; callers must not retain or mutate it.
-func (l *LAN) groupMembers(g proto.GroupID) []proto.NodeID {
-	if ids, ok := l.members[g]; ok {
-		return ids
+// members is one membership epoch of a multicast group: its subscribers in
+// ascending id order, so fan-out is deterministic, nil where a subscribed
+// id names no node. A list is never mutated — Subscribe, Unsubscribe and
+// AddNode replace it — so a frame in flight keeps its send-time member set
+// and a grouped event can name members by index.
+type members struct {
+	nodes []*Node
+}
+
+var noMembers members
+
+// regroup drops group g's member list after a membership change; the next
+// groupMembers call builds the new one. A partitioned cluster builds it at
+// once instead: LP goroutines read the lists, so groupMembers must not
+// write them there. regroup runs single-threaded — at setup, inside a
+// sequential event, or between partitioned runs.
+func (l *LAN) regroup(g proto.GroupID) {
+	if l.par == nil {
+		delete(l.members, g)
+	} else {
+		l.members[g] = l.newMembers(g)
 	}
-	if l.par != nil {
-		// Partitioned mode: the cache was sealed at Start and is read from
-		// LP goroutines; a group missing from it has no subscribers. Never
-		// mutate the shared map here.
-		return nil
+}
+
+// groupMembers returns group g's current member list.
+func (l *LAN) groupMembers(g proto.GroupID) *members {
+	ms := l.members[g]
+	if ms == nil && l.par == nil {
+		ms = l.newMembers(g)
+		l.members[g] = ms
 	}
+	if ms == nil {
+		return &noMembers
+	}
+	return ms
+}
+
+func (l *LAN) newMembers(g proto.GroupID) *members {
 	set := l.groups[g]
 	ids := make([]proto.NodeID, 0, len(set))
 	for id := range set {
 		ids = append(ids, id)
 	}
 	sortNodeIDs(ids)
-	l.members[g] = ids
-	return ids
+	ms := &members{nodes: make([]*Node, len(ids))}
+	for i, id := range ids {
+		ms.nodes[i] = l.nodes[id]
+	}
+	return ms
 }
 
 // Start invokes every handler's Start callback. Call once, before Run.
 func (l *LAN) Start() {
-	if l.par != nil {
-		// Seal the sorted-member cache: multicast fan-out runs on LP
-		// goroutines and must never write the shared map. Populate it
-		// directly — groupMembers itself refuses to mutate once l.par is
-		// set, so the seal must bypass its miss path.
-		for g, set := range l.groups {
-			ids := make([]proto.NodeID, 0, len(set))
-			for id := range set {
-				ids = append(ids, id)
-			}
-			sortNodeIDs(ids)
-			l.members[g] = ids
-		}
-	}
 	// Fault events are scheduled before any handler starts, so their
 	// kernel ranks precede all protocol traffic deterministically.
 	if l.faults != nil {
@@ -701,7 +745,7 @@ func (n *Node) GroupSize(g proto.GroupID) int {
 	if f := n.lan.faults; f != nil && f.Net.DupRate > 0 {
 		return 0
 	}
-	return len(n.lan.groupMembers(g))
+	return len(n.lan.groupMembers(g).nodes)
 }
 
 // Rand implements proto.Env.
@@ -1083,6 +1127,8 @@ func (n *Node) SendUDP(to proto.NodeID, m proto.Message) {
 
 // Multicast implements proto.Env: switch-replicated datagram. The sender's
 // out-link carries the frame once; each subscriber's in-link carries it.
+// Sequentially, members whose in-links free at the same instant share one
+// arrival event (see fan).
 func (n *Node) Multicast(g proto.GroupID, m proto.Message) {
 	if n.down {
 		return
@@ -1099,12 +1145,15 @@ func (n *Node) Multicast(g proto.GroupID, m proto.Message) {
 	// datagramFate call out of the fault-free fan-out loop, which is the
 	// hot path of every multicast-heavy run.
 	unimpeded := n.partSides == nil && !n.lan.faultNetOn
-	for _, id := range n.lan.groupMembers(g) {
-		dst := n.lan.nodes[id]
+	ms := n.lan.groupMembers(g)
+	f := fan{k: n.k, ms: ms, one: evUDPArrive, many: evUDPArriveFan,
+		ev: sim.TypedEvent{A: int64(n.id), D: int64(size), P1: m}}
+	for i, dst := range ms.nodes {
 		if dst == nil {
 			continue
 		}
 		if dst == n {
+			f.flush() // the loopback is a scheduling call of its own
 			n.deliverLocal(m)
 			continue
 		}
@@ -1113,10 +1162,10 @@ func (n *Node) Multicast(g proto.GroupID, m proto.Message) {
 			// Per-member fate: the switch replicated the frame, but each
 			// receiver's copy crosses its own link. Draw order follows the
 			// sorted member loop, so it is identical under -par N.
-			copies, delay = n.datagramFate(id, size)
+			copies, delay = n.datagramFate(dst.id, size)
 		}
 		at := arrive + delay
-		for i := 0; i < copies; i++ {
+		for c := 0; c < copies; c++ {
 			if pr != nil {
 				// Per-member records are appended — and their calls logged — in
 				// sorted member order, so the replay admits them consecutively,
@@ -1124,28 +1173,82 @@ func (n *Node) Multicast(g proto.GroupID, m proto.Message) {
 				pr.out[n.lp] = append(pr.out[n.lp],
 					xrec{kind: xUDP, at: at, rank: n.k.NoteXCall(), size: size, src: n.id, dst: dst, msg: m})
 			} else {
-				rxEnd := admit(dst, at, size)
-				n.k.AtEvent(rxEnd, sim.TypedEvent{Kind: evUDPArrive, A: int64(n.id), D: int64(size), P1: m, P2: dst})
+				f.add(i, admit(dst, at, size))
 			}
 		}
 	}
+	f.flush()
 }
 
-// datagramArrive applies the receive-buffer admission test and, if the frame
-// is admitted, schedules handler processing on the CPU. size was computed at
-// send time and rode in the typed event.
-func (n *Node) datagramArrive(from proto.NodeID, m proto.Message, size int) {
+// fan schedules one multicast frame's per-member events of one leg — the
+// in-link arrivals of one Multicast, or the CPU completions of one grouped
+// arrival — a run of members at a time. In a sequential run those
+// per-member scheduling calls are consecutive, so no other event can rank
+// between two members due at the same instant, and one event that handles
+// them in member order fires exactly where they would have. fan collects
+// such a run as bits of a mask over the member list and schedules it as one
+// event when the next member is due at another instant or is already in
+// the run (a duplicated datagram). The owner flushes it before making any
+// other scheduling call (the loopback) and at the end. A one-member run
+// keeps the per-member kind; members past the 64th are scheduled singly.
+type fan struct {
+	k         *sim.LP
+	ms        *members
+	one, many uint8          // per-member and grouped event kinds
+	ev        sim.TypedEvent // A, D and P1 of every event scheduled
+	at        time.Duration  // instant of the open run
+	mask      uint64         // members of the open run
+}
+
+// add appends member i, due at the given instant, to the open run.
+func (f *fan) add(i int, at time.Duration) {
+	bit := uint64(1) << i // 0 past the 64th member
+	if f.mask != 0 && (at != f.at || f.mask&bit != 0 || bit == 0) {
+		f.flush()
+	}
+	f.at = at
+	if bit == 0 {
+		f.schedule(f.one, 0, f.ms.nodes[i])
+		return
+	}
+	f.mask |= bit
+}
+
+// flush schedules the open run, if any.
+func (f *fan) flush() {
+	switch {
+	case f.mask == 0:
+		return
+	case f.mask&(f.mask-1) == 0:
+		f.schedule(f.one, 0, f.ms.nodes[bits.TrailingZeros64(f.mask)])
+	default:
+		f.schedule(f.many, f.mask, f.ms)
+	}
+	f.mask = 0
+}
+
+func (f *fan) schedule(kind uint8, mask uint64, to any) {
+	ev := f.ev
+	ev.Kind, ev.B, ev.P2 = kind, int64(mask), to
+	f.k.AtEvent(f.at, ev)
+}
+
+// datagramArrive applies the receive-buffer admission test to a datagram
+// whose last bit cleared n's in-link and, if the frame is admitted, books
+// its receive CPU; it reports when that CPU work is done. The caller
+// schedules the delivery.
+func (n *Node) datagramArrive(size int) (done time.Duration, ok bool) {
 	if n.down {
 		// A dead (or frozen — we don't model its kernel buffering
 		// datagrams it will never drain) process loses the frame.
 		n.stats.MsgsLost++
 		n.stats.BytesLost += int64(size)
-		return
+		return 0, false
 	}
 	if n.udpQueued+size > n.lan.cfg.UDPBuf {
 		n.stats.MsgsDropped++
 		n.stats.BytesDropped += int64(size)
-		return
+		return 0, false
 	}
 	n.stats.MsgsRecv++
 	n.stats.BytesRecv += int64(size)
@@ -1153,8 +1256,19 @@ func (n *Node) datagramArrive(from proto.NodeID, m proto.Message, size int) {
 	if n.udpQueued > n.udpQueuedMax {
 		n.udpQueuedMax = n.udpQueued
 	}
-	done := n.reserveCPU(n.k.Now(), n.cpuCost(size))
-	n.k.AtEvent(done, sim.TypedEvent{Kind: evUDPDeliver, A: int64(from), D: int64(size), P1: m, P2: n})
+	return n.reserveCPU(n.k.Now(), n.cpuCost(size)), true
+}
+
+// datagramDeliver runs when n's CPU has processed an admitted datagram: it
+// drains the frame from the receive buffer and hands it to the handler.
+func (n *Node) datagramDeliver(from proto.NodeID, m proto.Message, size int) {
+	n.udpQueued -= size
+	if n.down {
+		n.stats.MsgsLost++
+		n.stats.BytesLost += int64(size)
+		return
+	}
+	n.handler.Receive(from, m)
 }
 
 // deliverLocal hands a self-addressed message to the handler, paying CPU

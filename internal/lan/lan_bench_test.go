@@ -36,19 +36,23 @@ func (t *benchTicker) Start(env proto.Env) {
 func (t *benchTicker) Receive(proto.NodeID, proto.Message) {}
 
 // runSteadyState advances the simulation in 1 ms virtual slices for b.N
-// iterations and reports simulated events per wall-clock second.
+// iterations and reports simulated events and frames sent by node 0 (the
+// traffic generator) per wall-clock second: their ratio is the kernel
+// events one frame costs.
 func runSteadyState(b *testing.B, l *LAN) {
 	b.Helper()
 	l.Start()
 	l.Run(50 * time.Millisecond) // warm up pools, buffers and windows
 	b.ReportAllocs()
 	b.ResetTimer()
-	s0 := l.Sim.Steps()
+	s0, f0 := l.Sim.Steps(), l.Node(0).Stats().MsgsSent
 	start := time.Now()
 	for n := 0; n < b.N; n++ {
 		l.Run(time.Millisecond)
 	}
-	b.ReportMetric(float64(l.Sim.Steps()-s0)/time.Since(start).Seconds(), "events/s")
+	secs := time.Since(start).Seconds()
+	b.ReportMetric(float64(l.Sim.Steps()-s0)/secs, "events/s")
+	b.ReportMetric(float64(l.Node(0).Stats().MsgsSent-f0)/secs, "frames/s")
 }
 
 // BenchmarkMulticastSteadyState is the fig3.x hot path: one sender

@@ -50,7 +50,7 @@ func TestConnRingWraps(t *testing.T) {
 }
 
 // TestMemberCacheInvalidation: subscribing and unsubscribing mid-run must be
-// visible to the next Multicast (the sorted-member cache is invalidated).
+// visible to the next Multicast (the group's member list is replaced).
 func TestMemberCacheInvalidation(t *testing.T) {
 	l := New(DefaultConfig(), 1)
 	a, b := &sink{}, &sink{}

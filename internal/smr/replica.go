@@ -140,7 +140,10 @@ type specEntry struct {
 	replied bool
 }
 
-var _ proto.Handler = (*Replica)(nil)
+var (
+	_ proto.Handler       = (*Replica)(nil)
+	_ proto.VolatileLoser = (*Replica)(nil)
+)
 
 // Start implements proto.Handler.
 func (r *Replica) Start(env proto.Env) {
@@ -180,6 +183,14 @@ func (r *Replica) completeReply(id int64) {
 // Receive implements proto.Handler.
 func (r *Replica) Receive(from proto.NodeID, m proto.Message) {
 	r.Agent.Receive(from, m)
+}
+
+// LoseVolatile implements proto.VolatileLoser: a crash that destroys the
+// process's volatile state reaches the replica's ring agent. The service
+// state, the dedup table and the pending replies survive it: the replica
+// does not yet model losing and rebuilding its application state.
+func (r *Replica) LoseVolatile() {
+	r.Agent.LoseVolatile()
 }
 
 // responsible reports whether this replica executes/answers for the client.
